@@ -8,9 +8,9 @@ grows two orders of magnitude?*  Each rung builds the same workload
 and times fleet construction and event processing separately, so the
 recorded events/sec measures steady-state dispatch, not topology setup.
 
-Every rung runs under **both** event-queue backends (tuple heap and
-calendar queue) and asserts their trace digests are bit-identical —
-the backend selector is a pure performance knob, never a behavior one.
+Records from before the calendar-queue backend was removed carry a
+``backend`` field; only the ``"heap"`` ones are baselines for today's
+single kernel.
 
 Usage::
 
@@ -19,9 +19,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --rungs 1000
         # subset of rungs (comma-separated worker counts)
     PYTHONPATH=src python benchmarks/bench_scale.py --rungs 1000 --check
-        # CI gate: no file write; exits 1 when any (rung, backend)
-        # drops more than --max-regression below its newest committed
-        # record, or when the two backends' digests diverge.
+        # CI gate: no file write; exits 1 when any rung drops more
+        # than --max-regression below its newest committed record, or
+        # when a rung has no committed record.
 """
 
 from __future__ import annotations
@@ -49,15 +49,13 @@ from bench_speed import (  # noqa: E402
 )
 
 from repro.scenarios import build_fleetrun  # noqa: E402
-from repro.sim import QUEUE_BACKENDS  # noqa: E402
 
 DEFAULT_RUNGS = (1_000, 10_000, 100_000)
 HORIZON_S = 600.0
 
 
-def run_rung(n_workers: int, backend: str, label: str = "",
-             repeat: int = 3) -> dict:
-    """Best-of-``repeat`` measurement of one (rung, backend) cell.
+def run_rung(n_workers: int, label: str = "", repeat: int = 3) -> dict:
+    """Best-of-``repeat`` measurement of one rung.
 
     Wall-clock on a shared box is one-sided noise (contention only ever
     slows a run down), so the fastest of N repeats is the most stable
@@ -67,8 +65,7 @@ def run_rung(n_workers: int, backend: str, label: str = "",
     best = None
     for _ in range(max(1, repeat)):
         t0 = time.perf_counter()
-        run = build_fleetrun(n_workers, horizon_s=HORIZON_S,
-                             queue_backend=backend, run_sim=False)
+        run = build_fleetrun(n_workers, horizon_s=HORIZON_S, run_sim=False)
         t1 = time.perf_counter()
         run.sim.run_until(run.horizon_s)
         wall_s = time.perf_counter() - t1
@@ -77,7 +74,6 @@ def run_rung(n_workers: int, backend: str, label: str = "",
             "mode": "scale",
             "label": label,
             "n_workers": n_workers,
-            "backend": backend,
             "horizon_s": HORIZON_S,
             "events_executed": sim.events_executed,
             "setup_s": round(t1 - t0, 3),
@@ -89,18 +85,18 @@ def run_rung(n_workers: int, backend: str, label: str = "",
         }
         if best is not None and rec["trace_digest"] != best["trace_digest"]:
             raise AssertionError(
-                f"non-deterministic repeat at n={n_workers} {backend}: "
+                f"non-deterministic repeat at n={n_workers}: "
                 f"{rec['trace_digest'][:12]} vs {best['trace_digest'][:12]}")
         if best is None or rec["wall_s"] < best["wall_s"]:
             best = rec
     return best
 
 
-def scale_baseline(records: list, n_workers: int, backend: str) -> dict:
+def scale_baseline(records: list, n_workers: int) -> dict:
     for rec in reversed(records):
         if (rec.get("mode") == "scale"
                 and rec.get("n_workers") == n_workers
-                and rec.get("backend") == backend):
+                and rec.get("backend", "heap") == "heap"):
             return rec
     return {}
 
@@ -122,84 +118,66 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare against committed baselines instead of "
                              "appending records; non-zero exit on excessive "
-                             "regression or backend digest divergence")
+                             "regression or a rung with no baseline")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="allowed fractional events/sec drop per "
-                             "(rung, backend) in --check mode (default 0.25)")
+                             "rung in --check mode (default 0.25)")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="repeats per (rung, backend); the fastest run "
-                             "is recorded (default 3)")
+                        help="repeats per rung; the fastest run is "
+                             "recorded (default 3)")
     parser.add_argument("--label", default="",
                         help="free-form description stored with each record")
     args = parser.parse_args(argv)
     require_label(parser, args)
 
     records = load_records()
+    if args.check:
+        missing = [n for n in args.rungs if not scale_baseline(records, n)]
+        if missing:
+            print(f"FAIL: no committed scale record in {BENCH_FILE.name} "
+                  "for rung(s) " + ", ".join(f"n={n}" for n in missing))
+            return 1
     full_ref = latest_baseline(records, "full")
     failures = 0
     new_records = []
 
     for n_workers in args.rungs:
-        by_backend = {}
-        for backend in sorted(QUEUE_BACKENDS):
-            rec = run_rung(n_workers, backend, args.label,
-                           repeat=args.repeat)
-            by_backend[backend] = rec
-            print(f"[scale n={n_workers} {backend}] "
-                  f"{rec['events_executed']} events in {rec['wall_s']:.2f}s "
-                  f"(+{rec['setup_s']:.2f}s setup) -> "
-                  f"{rec['events_per_sec']:.0f} events/sec "
-                  f"(digest {rec['trace_digest'][:12]}...)")
-
-        digests = {rec["trace_digest"] for rec in by_backend.values()}
-        if len(digests) != 1:
-            print(f"FAIL: backend digest divergence at n={n_workers}: "
-                  + ", ".join(f"{b}={r['trace_digest'][:12]}..."
-                              for b, r in sorted(by_backend.items())))
-            failures += 1
-        else:
-            print(f"backend digest parity at n={n_workers}: identical")
-
+        rec = run_rung(n_workers, args.label, repeat=args.repeat)
+        print(f"[scale n={n_workers}] "
+              f"{rec['events_executed']} events in {rec['wall_s']:.2f}s "
+              f"(+{rec['setup_s']:.2f}s setup) -> "
+              f"{rec['events_per_sec']:.0f} events/sec "
+              f"(digest {rec['trace_digest'][:12]}...)")
         if full_ref:
-            best = max(r["events_per_sec"] for r in by_backend.values())
             print(f"vs newest full-mode dayrun record "
                   f"({full_ref['events_per_sec']:.0f} events/sec): "
-                  f"{best / full_ref['events_per_sec']:.2f}x")
+                  f"{rec['events_per_sec'] / full_ref['events_per_sec']:.2f}x")
 
-        for backend, rec in sorted(by_backend.items()):
-            baseline = scale_baseline(records, n_workers, backend)
-            if baseline:
-                ratio = rec["events_per_sec"] / baseline["events_per_sec"]
-                same = baseline.get("trace_digest") == rec["trace_digest"]
-                print(f"  {backend} baseline "
-                      f"{baseline['events_per_sec']:.0f} events/sec -> "
-                      f"{ratio:.2f}x, digest "
-                      f"{'identical' if same else 'DIVERGED'}")
-            if args.check:
-                if not baseline:
-                    print(f"  {backend}: no committed baseline; check passes")
-                    continue
-                floor = (baseline["events_per_sec"]
-                         * (1.0 - args.max_regression))
-                if rec["events_per_sec"] < floor:
-                    print(f"FAIL: {backend} n={n_workers} "
-                          f"{rec['events_per_sec']:.0f} events/sec is below "
-                          f"the {floor:.0f} floor "
-                          f"({args.max_regression:.0%} regression budget)")
-                    failures += 1
-            else:
-                # Same dedup rule as bench_speed: label + bit-identical
-                # digest.  The git hash is deliberately NOT part of the
-                # key — a commit that doesn't change behavior would
-                # otherwise re-append an identical measurement per rev.
-                if (baseline
-                        and baseline.get("label") == rec["label"]
-                        and baseline.get("trace_digest")
-                        == rec["trace_digest"]):
-                    print(f"  {backend}: unchanged vs newest committed "
-                          "record; not appending")
-                    continue
-                new_records.append(rec)
+        baseline = scale_baseline(records, n_workers)
+        if baseline:
+            ratio = rec["events_per_sec"] / baseline["events_per_sec"]
+            same = baseline.get("trace_digest") == rec["trace_digest"]
+            print(f"  baseline {baseline['events_per_sec']:.0f} events/sec "
+                  f"-> {ratio:.2f}x, digest "
+                  f"{'identical' if same else 'DIVERGED'}")
+        if args.check:
+            floor = baseline["events_per_sec"] * (1.0 - args.max_regression)
+            if rec["events_per_sec"] < floor:
+                print(f"FAIL: n={n_workers} "
+                      f"{rec['events_per_sec']:.0f} events/sec is below "
+                      f"the {floor:.0f} floor "
+                      f"({args.max_regression:.0%} regression budget)")
+                failures += 1
+        elif (baseline
+                and baseline.get("label") == rec["label"]
+                and baseline.get("trace_digest") == rec["trace_digest"]):
+            # Same dedup rule as bench_speed: label + bit-identical
+            # digest.  The git hash is deliberately NOT part of the key
+            # — a commit that doesn't change behavior would otherwise
+            # re-append an identical measurement per rev.
+            print("  unchanged vs newest committed record; not appending")
+        else:
+            new_records.append(rec)
 
     if failures:
         return 1

@@ -15,7 +15,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_speed.py --quick --check
         # CI gate: no file write; exits 1 when events/sec drops more
         # than --max-regression (default 25%) below the newest committed
-        # record of the same mode.
+        # record of the same mode, or when there is no such record.
 """
 
 from __future__ import annotations
@@ -146,6 +146,10 @@ def main(argv=None) -> int:
     mode = "quick" if args.quick else "full"
     records = load_records()
     baseline = latest_baseline(records, mode)
+    if args.check and not baseline:
+        print(f"FAIL: no committed {mode!r} record in {BENCH_FILE.name} "
+              "to check against")
+        return 1
 
     rec = run_benchmark(mode, args.label)
     print(f"[{mode}] {rec['events_executed']} events in {rec['wall_s']:.2f}s "
@@ -165,9 +169,6 @@ def main(argv=None) -> int:
                   f"{'identical' if same else 'DIVERGED'}")
 
     if args.check:
-        if not baseline:
-            print("no committed baseline for this mode; check passes")
-            return 0
         floor = baseline["events_per_sec"] * (1.0 - args.max_regression)
         if rec["events_per_sec"] < floor:
             print(f"FAIL: {rec['events_per_sec']:.0f} events/sec is below "

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
+from typing import Any, Callable
 
 from .analysis import (
     fleet_utilization_series,
@@ -52,11 +54,8 @@ from .workloads import (
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.shards is not None:
-        return _cmd_simulate_parallel(args)
     horizon_s = args.hours * 3600.0
-    sim = Simulator(seed=args.seed, queue_backend=args.queue_backend,
-                    sanitize=args.sanitize)
+    sim = Simulator(seed=args.seed, sanitize=args.sanitize)
     diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=args.peak_to_trough)
     population = build_population(
         n_functions=args.functions, total_rate=args.rate,
@@ -136,68 +135,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate_parallel(args: argparse.Namespace) -> int:
-    """``simulate --shards N``: the region-sharded parallel runner.
-
-    Parity note: the parallel runner's digest is the *canonical*
-    (order-independent) digest over the same per-call lifecycle tuples,
-    and ``--shards 1`` runs the identical windowed machinery serially —
-    so ``--shards 1`` and ``--shards N`` digests are bit-identical and
-    directly comparable via ``--expect-digest``.
-    """
-    from .parsim import ParsimSpec, run_parsim
-
-    if (args.no_time_shifting or args.no_global_dispatch
-            or args.locality_groups != 3):
-        print("simulate --shards does not support ablation flags "
-              "(--no-time-shifting / --no-global-dispatch / "
-              "--locality-groups); run them serially or via sweep",
-              file=sys.stderr)
-        return 2
-    spec = ParsimSpec(
-        scenario="dayrun", seed=args.seed,
-        horizon_s=args.hours * 3600.0, total_rate=args.rate,
-        n_functions=args.functions, n_regions=args.regions,
-        opportunistic_fraction=args.opportunistic,
-        peak_to_trough=args.peak_to_trough,
-        target_utilization=args.target_utilization,
-        n_shards=args.shards, queue_backend=args.queue_backend,
-        sanitize=args.sanitize)
-    if not args.json:
-        print(f"simulating {args.hours} h, {args.rate} calls/s mean, "
-              f"{args.regions} regions on {spec.effective_shards} "
-              f"shard(s) ...", flush=True)
-    result = run_parsim(spec)
-
-    if args.json:
-        doc = result.summary()
-        doc["trace_digest"] = result.digest
-        doc["config"] = {
-            "hours": args.hours, "rate": args.rate,
-            "functions": args.functions, "regions": args.regions,
-            "seed": args.seed, "shards": args.shards,
-            "queue_backend": args.queue_backend,
-            "sanitize": args.sanitize,
-        }
-        print(json.dumps(doc, indent=1))
-    else:
-        if result.fallback_reason:
-            print(f"note: {result.fallback_reason}")
-        print(f"submitted {result.submitted}, completed {result.completed}, "
-              f"still queued {result.backlog}, "
-              f"throttled {result.throttled}")
-        print(f"{result.events_executed} events across {result.n_shards} "
-              f"shard(s), {result.barriers} barriers, "
-              f"{result.messages_exchanged} cross-shard messages")
-        print(f"canonical trace digest {result.digest}")
-    if args.expect_digest and result.digest != args.expect_digest:
-        print(f"DIGEST MISMATCH: parallel run produced {result.digest}, "
-              f"expected {args.expect_digest} — shard-count parity "
-              "violated", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _simulate_summary(args: argparse.Namespace, platform: XFaaS,
                       sim: Simulator, utils: dict, fleet: list) -> dict:
     """Machine-readable run summary for ``simulate --json``.
@@ -247,8 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     specs = build_grid(
         n_reps=args.runs, master_seed=args.master_seed, variants=variants,
         horizon_s=args.hours * 3600.0, total_rate=args.rate,
-        n_functions=args.functions, n_regions=args.regions,
-        queue_backend=args.queue_backend)
+        n_functions=args.functions, n_regions=args.regions)
 
     if not args.json:
         print(f"sweeping {len(specs)} runs ({len(variants)} variant(s) × "
@@ -428,7 +364,40 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked(kind: type, ok: Callable[[Any], bool], want: str
+             ) -> Callable[[str], Any]:
+    """An argparse ``type``: parse with ``kind``, reject unless ``ok``.
+
+    A rejected value becomes a usage error (exit 2) instead of a
+    traceback from deep inside the model.
+    """
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {want}")
+        return value
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "> 0")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+
+
+def _at_least(low: int) -> Callable[[str], Any]:
+    return _checked(int, lambda v: v >= low, f">= {low}")
+
+
+#: ``split_functions`` needs one function per workload category.
+_FUNCTIONS = _at_least(3)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .simlint.rules import rule_summary
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="XFaaS (SOSP 2023) reproduction — simulation CLI")
@@ -436,34 +405,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim_p = sub.add_parser("simulate",
                            help="run a paper-shaped workload simulation")
-    sim_p.add_argument("--hours", type=float, default=6.0)
-    sim_p.add_argument("--rate", type=float, default=4.0,
+    sim_p.add_argument("--hours", type=_POSITIVE, default=6.0)
+    sim_p.add_argument("--rate", type=_POSITIVE, default=4.0,
                        help="mean submissions/s across all functions")
-    sim_p.add_argument("--functions", type=int, default=60)
-    sim_p.add_argument("--regions", type=int, default=4)
+    sim_p.add_argument("--functions", type=_FUNCTIONS, default=60)
+    sim_p.add_argument("--regions", type=_at_least(1), default=4)
     sim_p.add_argument("--seed", type=int, default=7)
     sim_p.add_argument("--peak-to-trough", type=float, default=4.3)
     sim_p.add_argument("--opportunistic", type=float, default=0.6,
                        help="fraction of eligible functions on "
                             "opportunistic quota")
-    sim_p.add_argument("--target-utilization", type=float, default=0.70)
-    sim_p.add_argument("--locality-groups", type=int, default=3)
+    sim_p.add_argument("--target-utilization", type=_FRACTION, default=0.70)
+    sim_p.add_argument("--locality-groups", type=_at_least(1), default=3)
     sim_p.add_argument("--no-time-shifting", action="store_true")
     sim_p.add_argument("--no-global-dispatch", action="store_true")
-    sim_p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="run region-sharded in N worker processes "
-                            "(conservative bounded-lag windows; --shards 1 "
-                            "runs the same machinery serially and yields a "
-                            "bit-identical digest)")
-    sim_p.add_argument("--queue-backend", default=None,
-                       choices=("heap", "calendar"),
-                       help="kernel event-queue implementation (both are "
-                            "bit-identical; calendar is faster at scale)")
     sim_p.add_argument("--sanitize", action="store_true",
                        help="run under the simsan runtime sanitizer: "
-                            "bit-identical digest, but cross-shard "
-                            "access / RNG-order / dict-order violations "
-                            "raise (works serially and with --shards)")
+                            "bit-identical digest, but RNG-order / "
+                            "dict-order / lease-protocol violations raise")
     sim_p.add_argument("--expect-digest", metavar="SHA256",
                        help="fail unless the run's trace digest matches "
                             "(CI parity check)")
@@ -473,32 +432,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser(
         "sweep", help="run a multi-seed / ablation grid across CPU cores")
-    sweep_p.add_argument("--runs", type=int, default=4,
+    sweep_p.add_argument("--runs", type=_at_least(1), default=4,
                          help="seeds (repetitions) per variant")
     sweep_p.add_argument("--master-seed", type=int, default=7,
                          help="per-run seeds are derived from this")
-    sweep_p.add_argument("--hours", type=float, default=2.0,
+    sweep_p.add_argument("--hours", type=_POSITIVE, default=2.0,
                          help="simulated horizon per run")
-    sweep_p.add_argument("--rate", type=float, default=4.0)
-    sweep_p.add_argument("--functions", type=int, default=40)
-    sweep_p.add_argument("--regions", type=int, default=4)
+    sweep_p.add_argument("--rate", type=_POSITIVE, default=4.0)
+    sweep_p.add_argument("--functions", type=_FUNCTIONS, default=40)
+    sweep_p.add_argument("--regions", type=_at_least(1), default=4)
     sweep_p.add_argument("--ablate", action="append",
                          choices=sorted(
                              ("time-shifting", "global-dispatch",
                               "locality-groups", "cooperative-jit", "aimd")),
                          help="add a variant with this §1.2 technique off "
                               "(repeatable)")
-    sweep_p.add_argument("--workers", type=int, default=1,
+    sweep_p.add_argument("--workers", type=_at_least(1), default=1,
                          help="worker processes (1 = serial, in-process)")
     sweep_p.add_argument("--start-method", default="spawn",
                          choices=("spawn", "fork", "forkserver"))
     sweep_p.add_argument("--chunksize", type=int, default=None,
                          help="specs dispatched per pool task (default 1)")
-    sweep_p.add_argument("--queue-backend", default=None,
-                         choices=("heap", "calendar"),
-                         help="kernel event-queue implementation for every "
-                              "run (bit-identical; perf knob, not a "
-                              "variant axis)")
     sweep_p.add_argument("--json", action="store_true",
                          help="emit the full sweep report as JSON")
     sweep_p.set_defaults(func=_cmd_sweep)
@@ -509,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
              "profiler and print where wall time goes")
     prof_p.add_argument("--quick", action="store_true",
                         help="10 simulated minutes instead of --hours")
-    prof_p.add_argument("--hours", type=float, default=1.0)
+    prof_p.add_argument("--hours", type=_POSITIVE, default=1.0)
     prof_p.add_argument("--seed", type=int, default=7)
     prof_p.add_argument("--top", type=int, default=None,
                         help="show only the top N rows by self time")
@@ -533,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     # bpo-17050); it is registered here only so --help lists it.
     sub.add_parser("lint",
                    help="determinism & sim-safety static analysis "
-                        "(SL001-SL015; see `python -m repro lint --help`)")
+                        f"({rule_summary()}; see `python -m repro lint "
+                        "--help`)")
 
     life_p = sub.add_parser("lifecycle",
                             help="print the Figure 1 lifecycle cost table")

@@ -67,40 +67,3 @@ class NetworkModel:
         """All other regions sorted by ring distance then name (stable)."""
         return sorted((r for r in self.region_names if r != src),
                       key=lambda r: (self.hops(src, r), r))
-
-    # ------------------------------------------------------------------
-    # Conservative-parallel-simulation bounds (repro.parsim)
-    # ------------------------------------------------------------------
-    def lookahead(self) -> float:
-        """Minimum one-way latency between *distinct* regions.
-
-        This is the conservative parallel-DES lookahead window: any
-        cross-region interaction started at time ``t`` cannot take
-        effect in another region before ``t + lookahead()``, so region
-        shards synchronized at ``T`` may safely advance to
-        ``T + lookahead()`` without hearing from each other.
-
-        A single-region topology has no distinct pair; the value
-        degenerates to ``intra_latency_s``, which is far too small to be
-        a useful window — parallel mode must refuse or fall back to
-        serial in that case (see :mod:`repro.parsim`).
-        """
-        names = self.region_names
-        if len(names) < 2:
-            return self.intra_latency_s
-        return min(self.latency(a, b)
-                   for i, a in enumerate(names) for b in names[i + 1:])
-
-    def max_latency(self) -> float:
-        """Maximum one-way latency between any pair of distinct regions.
-
-        Used by :mod:`repro.parsim` as the uniform delay on broadcast
-        state (RIM reports): every shard — including the sender's own —
-        sees a report after the same delay, so global aggregates are
-        identical regardless of how regions are grouped into shards.
-        """
-        names = self.region_names
-        if len(names) < 2:
-            return self.intra_latency_s
-        return max(self.latency(a, b)
-                   for i, a in enumerate(names) for b in names[i + 1:])

@@ -57,17 +57,6 @@ class Topology:
         return {r.name: r.workers_for(namespace) / total
                 for r in self.regions}
 
-    def lookahead(self) -> float:
-        """Conservative parallel-simulation window for this topology.
-
-        Delegates to :meth:`NetworkModel.lookahead`: the minimum one-way
-        cross-region latency, i.e. how far region shards can advance
-        between synchronization barriers without missing a cross-region
-        interaction.  Degenerates to the (tiny) intra-region latency for
-        single-region topologies, where parallel mode is pointless.
-        """
-        return self.network.lookahead()
-
 
 def build_topology(n_regions: int = 12,
                    workers_per_unit: int = 40,

@@ -23,9 +23,9 @@ fields.
 
 Rows are **pinned** by default — a pinned row is never recycled, so
 calls handed to external callers (tests, baselines, the public
-``XFaaS.submit``) keep working forever.  Only the bulk arrival paths
-(``XFaaS.submit_stream``, the parsim replay/rehydrate paths) allocate
-unpinned rows, which is where the volume is.
+``XFaaS.submit``) keep working forever.  Only the bulk arrival path
+(``XFaaS.submit_stream``) allocates unpinned rows, which is where the
+volume is.
 """
 
 from __future__ import annotations

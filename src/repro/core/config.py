@@ -86,23 +86,16 @@ class CachedConfig:
     """
 
     def __init__(self, sim: Simulator, store: ConfigStore, key: str,
-                 default: Any, refresh_interval_s: float = 10.0,
-                 jitter_stream: Optional[str] = None) -> None:
+                 default: Any, refresh_interval_s: float = 10.0) -> None:
         self.sim = sim
         self.store = store
         self.key = key
         self._value = store.get(key, default)
         self._version = store.version(key)
         self.refresh_interval_s = refresh_interval_s
-        # ``jitter_stream`` names the RNG stream for the refresh jitter.
-        # The default shares the kernel-wide "periodic-jitter" stream;
-        # repro.parsim passes an owner-qualified name instead, so a
-        # cache's draw sequence never depends on which other components
-        # happen to share its shard's kernel.
         self._task = sim.every(
             refresh_interval_s, self._refresh,
-            jitter=refresh_interval_s * 0.05,
-            **({"rng_stream": jitter_stream} if jitter_stream else {}))
+            jitter=refresh_interval_s * 0.05)
         self.refresh_count = 0
 
     @property

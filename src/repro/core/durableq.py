@@ -33,8 +33,7 @@ class DurableQ:
 
     def __init__(self, sim: Simulator, name: str, region: str,
                  lease_timeout_s: float = 120.0,
-                 sweep_interval_s: float = 30.0,
-                 jitter_stream: Optional[str] = None) -> None:
+                 sweep_interval_s: float = 30.0) -> None:
         if lease_timeout_s <= 0:
             raise ValueError("lease_timeout_s must be positive")
         self.sim = sim
@@ -59,13 +58,9 @@ class DurableQ:
         self.acked_count = 0
         self.nacked_count = 0
         self.expired_lease_count = 0
-        # parsim passes a queue-qualified jitter stream so the sweep's
-        # draw sequence is independent of shard grouping; the default
-        # shares the kernel-wide "periodic-jitter" stream (legacy).
         self._sweep_task = sim.every(
             sweep_interval_s, self._sweep_leases,
-            jitter=sweep_interval_s * 0.1,
-            **({"rng_stream": jitter_stream} if jitter_stream else {}))
+            jitter=sweep_interval_s * 0.1)
 
     # ------------------------------------------------------------------
     def enqueue(self, call: FunctionCall) -> None:
@@ -177,17 +172,14 @@ class DurableQ:
         heapq.heappush(self._queues[name], (ready_at, call.call_id, call))
 
     # ------------------------------------------------------------------
-    # By-id variants for remote (cross-shard) schedulers, which hold a
-    # serialized copy of the call — the authoritative object lives in
-    # this queue's lease table (repro.parsim message handlers).
+    # By-id variants for callers that hold only a call id — the
+    # authoritative object lives in this queue's lease table.
     # ------------------------------------------------------------------
     def ack_by_id(self, call_id: int) -> Optional[FunctionCall]:
         """ACK a leased call identified only by its id.
 
         Returns the acked call (or None when no lease matched) so the
-        caller can recycle its arena slot — in parallel mode the owning
-        shard's record becomes garbage the moment the executing shard's
-        ACK lands.
+        caller can recycle its arena slot.
         """
         if self._lease_guard is not None:
             self._lease_guard.on_ack(self.name, call_id)

@@ -61,14 +61,10 @@ class LocalityOptimizer:
                  params: LocalityParams = LocalityParams(),
                  enabled: bool = True,
                  namespace: str = "default",
-                 timers: Optional[SamplerHub] = None,
-                 config_key: Optional[str] = None) -> None:
+                 timers: Optional[SamplerHub] = None) -> None:
         self.sim = sim
         self._timers = timers
         self.config = config
-        #: Per-instance publish key: parsim runs one optimizer per
-        #: region and keeps their published assignments separate.
-        self.config_key = config_key or self.CONFIG_KEY
         self.params = params
         self.enabled = enabled
         self.namespace = namespace
@@ -159,7 +155,7 @@ class LocalityOptimizer:
                 new_assignment[spec.name] = rr % self.n_groups
                 rr += 1
         self._assignment = new_assignment
-        self.config.publish(self.config_key,
+        self.config.publish(self.CONFIG_KEY,
                             {"n_groups": self.n_groups,
                              "version": self.reassign_count})
 

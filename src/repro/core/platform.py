@@ -133,13 +133,9 @@ class XFaaS:
         self.namespaces.create(ns)
         regions = topology.region_names
 
-        # simsan (opt-in): the serial platform owns every region, so no
-        # restriction is applied — the proxies still enforce sorted
-        # iteration and the RNG streams check draw-time monotonicity,
-        # and region_guard() can scope a block in tests.
+        # simsan (opt-in): the region-map proxies enforce sorted
+        # iteration and the RNG streams check draw-time monotonicity.
         sanitizer = sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.register_regions(regions)
 
         # --- Stateful storage: sharded DurableQs per region -----------
         self.durableqs_by_region: Dict[str, List[DurableQ]] = \
@@ -485,8 +481,5 @@ class XFaaS:
         first_region = self.topology.region_names[0]
         workers = self.workers_by_region[first_region]
         if workers:
-            # Legitimate: the serial platform owns every region; the
-            # canonical first-region sample never runs under parsim
-            # (ShardPlatform guards on owned regions instead).
-            mem = workers[0].memory_in_use_mb  # simlint: disable=SL010
+            mem = workers[0].memory_in_use_mb
             self.metrics.gauge("worker.sample.memory_mb").set(now, mem)

@@ -55,8 +55,7 @@ class QueueLB:
     def __init__(self, sim: Simulator, region: str,
                  durableqs_by_region: Dict[str, List[DurableQ]],
                  config: ConfigStore,
-                 rng_name: Optional[str] = None,
-                 jitter_stream: Optional[str] = None) -> None:
+                 rng_name: Optional[str] = None) -> None:
         if region not in durableqs_by_region:
             raise ValueError(f"no DurableQs registered for region {region!r}")
         self.sim = sim
@@ -65,8 +64,7 @@ class QueueLB:
         self.rng = sim.rng.stream(rng_name or f"queuelb/{region}")
         default_policy = local_only_routing(list(durableqs_by_region))
         self._routing = CachedConfig(sim, config, ROUTING_KEY,
-                                     default=default_policy,
-                                     jitter_stream=jitter_stream)
+                                     default=default_policy)
         self.routed_count = 0
         # Chooser memo keyed on the active routing row's identity; the
         # row object only changes when a new policy propagates, so the

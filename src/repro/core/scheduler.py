@@ -87,8 +87,7 @@ class Scheduler:
                  config: ConfigStore,
                  params: SchedulerParams = SchedulerParams(),
                  on_done: Optional[DoneCallback] = None,
-                 timers: Optional[SamplerHub] = None,
-                 jitter_stream: Optional[str] = None) -> None:
+                 timers: Optional[SamplerHub] = None) -> None:
         self.sim = sim
         self.region = region
         self.scheduler_id = f"scheduler/{region}"
@@ -110,11 +109,9 @@ class Scheduler:
         self._inflight: Dict[int, Tuple[FunctionCall, DurableQ]] = {}
 
         self._traffic = CachedConfig(sim, config, TRAFFIC_MATRIX_KEY,
-                                     default={region: {region: 1.0}},
-                                     jitter_stream=jitter_stream)
+                                     default={region: {region: 1.0}})
         self._s_multiplier = CachedConfig(sim, config, S_MULTIPLIER_KEY,
-                                          default=1.0,
-                                          jitter_stream=jitter_stream)
+                                          default=1.0)
 
         self.dispatched_count = 0
         self.completed_count = 0
@@ -243,12 +240,12 @@ class Scheduler:
         return adjusted
 
     def accept_remote(self, call: FunctionCall, shard: DurableQ) -> None:
-        """Buffer a call delivered by a cross-shard DurableQ poll response.
+        """Buffer a call leased from ``shard`` outside this scheduler's poll.
 
-        ``shard`` is duck-typed: :mod:`repro.parsim` passes a remote
-        handle whose ``ack``/``nack``/``extend_lease`` relay to the
-        queue's owner shard.  The call joins this scheduler's
-        FuncBuffers exactly as a locally polled call would.
+        ``shard`` is duck-typed: anything with the DurableQ
+        ``ack``/``nack``/``extend_lease`` surface settles the lease.
+        The call joins this scheduler's FuncBuffers exactly as a
+        locally polled call would.
         """
         self._buffer_call(call, shard)
 

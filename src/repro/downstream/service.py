@@ -54,8 +54,7 @@ class DownstreamService:
                  params: ServiceParams = ServiceParams(),
                  depends_on: Optional[List["DownstreamService"]] = None,
                  amplification: float = 1.0,
-                 dependency_coupling: float = 1.0,
-                 rng_name: Optional[str] = None) -> None:
+                 dependency_coupling: float = 1.0) -> None:
         self.sim = sim
         self.name = name
         self.params = params
@@ -76,9 +75,7 @@ class DownstreamService:
         self.total_exceptions = 0
         self.total_failures = 0
         self.exception_counter = None  # optional metrics Counter
-        # parsim builds one stack per region and qualifies the stream
-        # name by region; the default keeps the legacy global stream.
-        self.rng = sim.rng.stream(rng_name or f"service/{name}")
+        self.rng = sim.rng.stream(f"service/{name}")
 
     # ------------------------------------------------------------------
     @property

@@ -24,26 +24,17 @@ def build_tao_stack(sim: Simulator, registry: ServiceRegistry,
                     tao_capacity_rps: float = 5000.0,
                     wtcache_capacity_rps: float = 2000.0,
                     kvstore_capacity_rps: float = 1500.0,
-                    rng_prefix: str = "",
                     ) -> Tuple[DownstreamService, DownstreamService,
                                DownstreamService]:
-    """Create TAO, WTCache, KVStore with the §5.5 dependency shape.
-
-    ``rng_prefix`` qualifies the services' RNG stream names (e.g.
-    ``"region-00/"``): parsim builds one stack per region and needs
-    each region's draw sequences independent of shard grouping.
-    """
+    """Create TAO, WTCache, KVStore with the §5.5 dependency shape."""
     tao = DownstreamService(
-        sim, "tao", ServiceParams(capacity_rps=tao_capacity_rps),
-        rng_name=f"service/{rng_prefix}tao")
+        sim, "tao", ServiceParams(capacity_rps=tao_capacity_rps))
     kvstore = DownstreamService(
-        sim, "kvstore", ServiceParams(capacity_rps=kvstore_capacity_rps),
-        rng_name=f"service/{rng_prefix}kvstore")
+        sim, "kvstore", ServiceParams(capacity_rps=kvstore_capacity_rps))
     wtcache = DownstreamService(
         sim, "wtcache", ServiceParams(capacity_rps=wtcache_capacity_rps),
         depends_on=[kvstore, tao], amplification=0.5,
-        dependency_coupling=0.9,
-        rng_name=f"service/{rng_prefix}wtcache")
+        dependency_coupling=0.9)
     registry.register(tao)
     registry.register(kvstore)
     registry.register(wtcache)

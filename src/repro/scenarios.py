@@ -79,7 +79,6 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
                  target_utilization: float = 0.70,
                  overrides: Optional[dict] = None,
                  profiler: Optional[object] = None,
-                 queue_backend: Optional[str] = None,
                  sanitize: bool = False,
                  gc_mode: Optional[str] = None) -> DayRun:
     """Build and run the shared full-day simulation.
@@ -96,9 +95,6 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
     simulator before anything is scheduled; the run behaves identically
     (bit-identical trace digest) but attributes wall time per component.
 
-    ``queue_backend`` selects the kernel's event-queue implementation
-    (``"heap"`` or ``"calendar"``); both produce bit-identical traces.
-
     ``sanitize`` runs the whole scenario under the
     :mod:`repro.sim.simsan` runtime sanitizer; behavior (and the trace
     digest) is bit-identical, but determinism violations raise.
@@ -108,8 +104,7 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
     :class:`~repro.sim.kernel.Simulator`); allocation behavior is
     GC-invariant, so the trace digest is bit-identical either way.
     """
-    sim = Simulator(seed=seed, queue_backend=queue_backend,
-                    sanitize=sanitize, gc_mode=gc_mode)
+    sim = Simulator(seed=seed, sanitize=sanitize, gc_mode=gc_mode)
     if profiler is not None:
         sim.profiler = profiler
     diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=peak_to_trough)
@@ -167,7 +162,6 @@ def build_fleetrun(n_workers: int, seed: int = 7,
                    horizon_s: float = 600.0,
                    n_functions: int = 40, n_regions: int = 4,
                    opportunistic_fraction: float = 0.5,
-                   queue_backend: Optional[str] = None,
                    overrides: Optional[dict] = None,
                    run_sim: bool = True,
                    sanitize: bool = False,
@@ -189,8 +183,7 @@ def build_fleetrun(n_workers: int, seed: int = 7,
     if n_workers < n_regions:
         raise ValueError(
             f"n_workers={n_workers} must be >= n_regions={n_regions}")
-    sim = Simulator(seed=seed, queue_backend=queue_backend,
-                    sanitize=sanitize, gc_mode=gc_mode)
+    sim = Simulator(seed=seed, sanitize=sanitize, gc_mode=gc_mode)
     diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=4.3)
     population = build_population(
         n_functions=n_functions, total_rate=total_rate,

@@ -6,15 +6,8 @@ shared resources (:class:`Resource`, :class:`Store`), one-shot
 :class:`Signal` events, and named reproducible RNG streams.
 """
 
-from .calqueue import CalendarQueue
 from .events import EventCancelled, EventQueue, ScheduledEvent, Signal
-from .kernel import (
-    DEFAULT_QUEUE_BACKEND,
-    QUEUE_BACKENDS,
-    PeriodicTask,
-    SimulationError,
-    Simulator,
-)
+from .kernel import PeriodicTask, SimulationError, Simulator
 from .process import Process, ProcessKilled, spawn
 from .resources import Resource, Store
 from .rng import RngRegistry, RngStream, derive_seed
@@ -27,11 +20,8 @@ from .simsan import (
 )
 
 __all__ = [
-    "CalendarQueue",
-    "DEFAULT_QUEUE_BACKEND",
     "EventCancelled",
     "EventQueue",
-    "QUEUE_BACKENDS",
     "PeriodicTask",
     "Process",
     "ProcessKilled",

@@ -13,9 +13,8 @@ simulator it runs on, which keeps tests hermetic.
 from __future__ import annotations
 
 import gc as _gc
-from typing import Any, Callable, Dict, Optional, Type
+from typing import Any, Callable, Optional
 
-from .calqueue import CalendarQueue
 from .events import EventQueue, ScheduledEvent, Signal
 from .rng import RngRegistry
 from .simsan import Sanitizer, SanitizedRngRegistry
@@ -24,21 +23,6 @@ from .simsan import Sanitizer, SanitizedRngRegistry
 class SimulationError(Exception):
     """Raised for kernel misuse (scheduling in the past, etc.)."""
 
-
-#: Selectable event-queue backends.  Both preserve identical execution
-#: order (and therefore identical trace digests); they differ only in
-#: how the head entry is located.  See :mod:`repro.sim.calqueue`.
-QUEUE_BACKENDS: Dict[str, Type[EventQueue]] = {
-    "heap": EventQueue,
-    "calendar": CalendarQueue,
-}
-
-#: Backend used when ``Simulator(queue_backend=...)`` is not given.
-#: The tuple heap wins on the calibrated day-run mix (see
-#: ``BENCH_kernel.json`` backend records and DESIGN.md §7), so it stays
-#: the default; the calendar queue is selectable for gap-stable
-#: schedules.
-DEFAULT_QUEUE_BACKEND = "heap"
 
 #: Selectable cyclic-GC disciplines for the run loops.  ``None`` leaves
 #: the collector alone; ``"freeze"`` moves the post-setup heap to the
@@ -55,10 +39,6 @@ class Simulator:
     ----------
     seed:
         Master seed for all named RNG streams (see :class:`RngRegistry`).
-    queue_backend:
-        Event-queue implementation, a key of :data:`QUEUE_BACKENDS`
-        (``"heap"`` or ``"calendar"``).  Execution order — and thus
-        every trace — is identical across backends.
     sanitize:
         Install the :mod:`repro.sim.simsan` runtime sanitizer: the RNG
         registry mints checking streams and ``self.sanitizer`` is set
@@ -81,20 +61,10 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0,
-                 queue_backend: Optional[str] = None,
                  sanitize: bool = False,
                  gc_mode: Optional[str] = None) -> None:
         self._now = 0.0
-        backend = (queue_backend if queue_backend is not None
-                   else DEFAULT_QUEUE_BACKEND)
-        try:
-            queue_cls = QUEUE_BACKENDS[backend]
-        except KeyError:
-            raise SimulationError(
-                f"unknown queue_backend {backend!r}; "
-                f"expected one of {sorted(QUEUE_BACKENDS)}") from None
-        self._queue = queue_cls()
-        self.queue_backend = backend
+        self._queue = EventQueue()
         #: Runtime sanitizer, or None when ``sanitize`` is off.  Set
         #: before the RNG registry so every stream ever minted (incl.
         #: the ones PeriodicTask binds at init) goes through the checks.
@@ -174,24 +144,6 @@ class Simulator:
         self.call_after(delay, lambda: sig.fire(value))
         return sig
 
-    def inject(self, time: float, callback: Callable[[], None],
-               priority: int = 0) -> ScheduledEvent:
-        """Schedule an *external* event strictly after the current time.
-
-        The windowed-execution hook for :mod:`repro.parsim`: between two
-        ``run_until`` windows, a coordinator injects cross-shard messages
-        due in future windows.  Unlike :meth:`call_at`, scheduling *at*
-        the current instant is rejected — an already-completed window
-        must never gain events retroactively (the conservative-lookahead
-        contract guarantees every message is strictly in the future).
-        Injection order determines the same-time tiebreak ``seq``, so
-        callers must inject in a deterministic (canonical) order.
-        """
-        if time <= self._now:
-            raise SimulationError(
-                f"inject({time}) is not strictly after now={self._now}")
-        return self._queue.push(time, callback, priority)
-
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
@@ -268,11 +220,11 @@ class Simulator:
         """Apply ``gc_mode`` on loop entry; True if exit must re-enable.
 
         The freeze (collect + move survivors to the permanent
-        generation) happens once per simulator, on first entry —
-        :mod:`repro.parsim` calls ``run_until`` once per window,
-        thousands of times per run, and re-freezing each window would
-        cost more than the collector it displaces.  The disable is
-        per-entry and restored by the caller's ``finally`` only when
+        generation) happens once per simulator, on first entry — a
+        caller that advances the clock in many ``run_until`` windows
+        (as xbench's windowed driving does) would pay more for
+        re-freezing each window than the collector it displaces.  The
+        disable is per-entry and restored by the caller's ``finally`` only when
         the collector was enabled on the way in, so nested/recursive
         loops and user-disabled collectors stay undisturbed.
         """
@@ -292,18 +244,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return self._queue.live_count()
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest live event, or None when the queue is empty.
-
-        Purges cancelled heads as a side effect (same lazy-deletion pass
-        the run loop performs).  :mod:`repro.parsim` uses this to skip
-        empty synchronization windows: the global minimum next-event
-        time over all shards bounds how far every shard can jump without
-        anything happening in between.
-        """
-        head = self._queue._purge_head()
-        return None if head is None else float(head[0])
 
 
 class PeriodicTask:

@@ -1,15 +1,12 @@
-"""simsan — the opt-in runtime determinism & shard-safety sanitizer.
+"""simsan — the opt-in runtime determinism sanitizer.
 
-The static analyses in :mod:`repro.simlint` (SL009–SL012) prove the
-*code* never reaches across a shard boundary; simsan checks the same
-contract on the *running* simulation.  ``Simulator(sanitize=True)``
-(or ``python -m repro simulate --sanitize``) wraps the kernel's RNG
-registry and lets platforms wrap their region-keyed maps in checking
-proxies that raise :class:`SanitizeError` on:
+The static rules in :mod:`repro.simlint` prove properties of the
+*code*; simsan checks determinism invariants on the *running*
+simulation.  ``Simulator(sanitize=True)`` (or ``python -m repro
+simulate --sanitize``) wraps the kernel's RNG registry and lets
+platforms wrap their region-keyed maps in checking proxies that raise
+:class:`SanitizeError` on:
 
-* **cross-shard direct access** — reading, writing, or deleting a
-  region map entry for a region this shard does not own, or drawing
-  from a region-qualified RNG stream owned by a foreign region;
 * **out-of-order RNG draws** — a stream drawn at a simulation time
   earlier than its previous draw (replay / time-travel bugs);
 * **iteration-order-dependent scheduling** — iterating a region map
@@ -27,25 +24,15 @@ forwards, never perturbs.  :class:`SanitizedRngStream` derives the
 identical child seed and draws through the identical code paths as
 :class:`~repro.sim.rng.RngStream`, so a sanitized run produces a
 bit-identical trace digest to the unsanitized run (asserted by
-``tests/sim/test_simsan.py``, ``tests/parsim/test_sanitize.py`` and the
-CI ``sanitize-smoke`` job).
-
-Ownership scoping mirrors parsim: :meth:`Sanitizer.restrict` pins the
-allowed set to a shard's owned regions (``ShardPlatform`` does this),
-while the serial platform registers every region unrestricted — there
-the sanitizer still enforces draw monotonicity and sorted iteration,
-and :meth:`Sanitizer.region_guard` can scope a block temporarily.
+``tests/sim/test_simsan.py`` and the CI ``sanitize-smoke`` job).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
-    Iterable,
     Iterator,
     ItemsView,
     KeysView,
@@ -63,7 +50,7 @@ T = TypeVar("T")
 
 
 class SanitizeError(RuntimeError):
-    """A shard-safety or determinism invariant was violated at runtime."""
+    """A determinism invariant was violated at runtime."""
 
 
 class SupportsNow(Protocol):
@@ -138,11 +125,9 @@ class LeaseGuard:
 class Sanitizer:
     """Shared checking state for one simulation's sanitized run.
 
-    Holds the known region names (for parsing stream owners out of
-    region-qualified stream names), the allowed set (``None`` means
-    unrestricted — the serial platform), and the temporary guard set
-    pushed by :meth:`region_guard`.  Checks are pure observation; no
-    method here mutates anything a model component can see.
+    Holds the clock the draw-order checks read and the runtime lease
+    typestate.  Checks are pure observation; no method here mutates
+    anything a model component can see.
     """
 
     def __init__(self, clock: SupportsNow) -> None:
@@ -150,74 +135,10 @@ class Sanitizer:
         #: Runtime lease typestate; DurableQ reports protocol events
         #: here when its simulator runs sanitized.
         self.lease_guard = LeaseGuard()
-        self.known_regions: FrozenSet[str] = frozenset()
-        self._allowed: Optional[FrozenSet[str]] = None
-        self._guard: Optional[FrozenSet[str]] = None
-        #: stream name -> owning region (or None for replicated streams);
-        #: rebuilt lazily after every :meth:`register_regions`.
-        self._owner_cache: Dict[str, Optional[str]] = {}
 
     @property
     def now(self) -> float:
         return self._clock.now
-
-    # -- ownership configuration ---------------------------------------
-    def register_regions(self, names: Iterable[str]) -> None:
-        """Teach the sanitizer the simulation's region names."""
-        self.known_regions = self.known_regions | frozenset(names)
-        self._owner_cache.clear()
-
-    def restrict(self, regions: Iterable[str]) -> None:
-        """Limit allowed regions (a parsim shard's owned set)."""
-        self._allowed = frozenset(regions)
-
-    def allowed_regions(self) -> Optional[FrozenSet[str]]:
-        """The currently-enforced set; ``None`` means unrestricted."""
-        return self._guard if self._guard is not None else self._allowed
-
-    @contextmanager
-    def region_guard(self, regions: Iterable[str]) -> Iterator[None]:
-        """Temporarily scope checks to ``regions`` for a ``with`` block.
-
-        Lets serial-platform tests assert a handler only touches the
-        regions it claims to, without restricting the whole run.
-        """
-        previous = self._guard
-        self._guard = frozenset(regions)
-        try:
-            yield
-        finally:
-            self._guard = previous
-
-    # -- checks ---------------------------------------------------------
-    def check_region(self, region: str, context: str) -> None:
-        """Raise unless ``region`` is in the currently-allowed set."""
-        allowed = self.allowed_regions()
-        if allowed is None or region in allowed:
-            return
-        raise SanitizeError(
-            f"cross-shard access: {context} touches region {region!r} "
-            f"but this shard owns only {sorted(allowed)}")
-
-    def owner_of_stream(self, name: str) -> Optional[str]:
-        """The region owning a ``/``-qualified stream name, if any.
-
-        ``config-jitter/region-03/sched`` is owned by ``region-03``;
-        replicated streams (``arrivals``, ``client-region``,
-        ``resources/<fn>``, ``periodic-jitter``) name no region and are
-        never restricted.
-        """
-        if name in self._owner_cache:
-            return self._owner_cache[name]
-        owner = next((part for part in name.split("/")
-                      if part in self.known_regions), None)
-        self._owner_cache[name] = owner
-        return owner
-
-    # -- wrapper factories ----------------------------------------------
-    def region_map(self, name: str) -> "RegionMapProxy":
-        """A fresh empty checking proxy for a region-keyed map."""
-        return RegionMapProxy(self, name)
 
 
 class SanitizedRngStream(RngStream):
@@ -235,11 +156,7 @@ class SanitizedRngStream(RngStream):
         self._last_draw_at = float("-inf")
 
     def _check(self) -> None:
-        sanitizer = self._sanitizer
-        owner = sanitizer.owner_of_stream(self.name)
-        if owner is not None:
-            sanitizer.check_region(owner, f"RNG stream {self.name!r}")
-        now = sanitizer.now
+        now = self._sanitizer.now
         if now < self._last_draw_at:
             raise SanitizeError(
                 f"out-of-order draw on RNG stream {self.name!r}: "
@@ -330,27 +247,17 @@ class SanitizedRngRegistry(RngRegistry):
 
 
 class RegionMapProxy(Dict[str, Any]):
-    """A region-keyed dict that checks key ownership and iteration order.
+    """A region-keyed dict that checks iteration order.
 
-    Still a real ``dict`` (construction order, ``in``, ``len`` all
-    behave identically), so wrapping a platform map changes nothing a
-    component can observe — only illegal accesses now raise instead of
-    silently succeeding (or raising a bare ``KeyError``).
-
-    Membership tests (``key in map``) are deliberately unchecked: asking
-    *whether* a shard hosts a region is how routing decisions are made;
-    touching the entry is what crosses the boundary.
+    Still a real ``dict`` (construction order, lookups, ``in``, ``len``
+    all behave identically), so wrapping a platform map changes nothing
+    a component can observe — only iterating it while its keys are out
+    of sorted order now raises.
     """
 
-    def __init__(self, sanitizer: Sanitizer, name: str) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__()
-        self._sanitizer = sanitizer
         self._name = name
-
-    def _check_key(self, key: str, op: str) -> None:
-        sanitizer = self._sanitizer
-        if isinstance(key, str) and key in sanitizer.known_regions:
-            sanitizer.check_region(key, f"{op} of {self._name}[{key!r}]")
 
     def _check_order(self) -> None:
         keys = list(dict.keys(self))
@@ -360,18 +267,6 @@ class RegionMapProxy(Dict[str, Any]):
                 f"not in sorted order ({keys}): scheduling decisions would "
                 f"depend on dict insertion order — iterate "
                 f"sorted(map.items()) or insert in sorted order")
-
-    def __getitem__(self, key: str) -> Any:
-        self._check_key(key, "read")
-        return super().__getitem__(key)
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._check_key(key, "write")
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key: str) -> None:
-        self._check_key(key, "delete")
-        super().__delitem__(key)
 
     def __iter__(self) -> Iterator[str]:
         self._check_order()
@@ -401,4 +296,4 @@ def region_map(sanitizer: Optional[Sanitizer],
     """
     if sanitizer is None:
         return {}
-    return sanitizer.region_map(name)
+    return RegionMapProxy(name)

@@ -1,6 +1,6 @@
 """Whole-program function index and call resolution for simlint.
 
-The interprocedural shard-safety rules (SL010–SL012) need to answer
+The interprocedural typestate rules (SL013–SL015) need to answer
 "which function does this call site name, and what does that function
 do with each argument?" across every module of a lint run.  This module
 provides the structural half: a :class:`ProjectIndex` over all parsed
@@ -16,8 +16,8 @@ best-effort, deliberately conservative call resolution:
 * ``mod.f(...)``       → top-level ``f`` of the imported module when
   that module is part of the run.
 
-Unresolvable calls resolve to ``None``; the flow layer treats them as
-opaque (no findings), so imprecision here can only cause false
+Unresolvable calls resolve to ``None``; the typestate layer treats
+them as opaque (no findings), so imprecision here can only cause false
 negatives, never false positives.
 """
 

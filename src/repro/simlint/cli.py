@@ -27,7 +27,7 @@ from .engine import (
     iter_python_files,
     lint_paths,
 )
-from .rules import ALL_RULES, rules_by_id
+from .rules import ALL_RULES, rule_summary, rules_by_id
 
 
 def default_lint_root() -> Path:
@@ -38,7 +38,8 @@ def default_lint_root() -> Path:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="determinism & sim-safety static analysis (SL001-SL015)")
+        description="determinism & sim-safety static analysis "
+                    f"({rule_summary()})")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint "
                              "(default: the repro package tree)")

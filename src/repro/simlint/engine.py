@@ -12,13 +12,13 @@ over ``ctx.walk()``, and append an instance to
 :data:`repro.simlint.rules.ALL_RULES` (with fixtures in
 ``tests/simlint/fixtures``).
 
-Rules that need to see *across* files — the interprocedural shard-safety
-analyses SL010–SL012 — subclass :class:`ProjectRule` instead and
+Rules that need to see *across* files — the interprocedural typestate
+analyses SL013–SL015 — subclass :class:`ProjectRule` instead and
 implement :meth:`ProjectRule.check_project` over a :class:`Project`,
 which holds every parsed :class:`LintContext` of the run plus a shared
-cache for expensive whole-program artifacts (the call graph and flow
-summaries built by :mod:`repro.simlint.callgraph` /
-:mod:`repro.simlint.flow`).
+cache for expensive whole-program artifacts (the call graph and
+typestate summaries built by :mod:`repro.simlint.callgraph` /
+:mod:`repro.simlint.typestate`).
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ class Project:
     """Every parsed module of one lint run, for whole-program rules.
 
     ``cache`` is shared by all :class:`ProjectRule` instances of the
-    run, so the call graph / flow summaries are built once however many
-    interprocedural rules consume them.
+    run, so the call graph / typestate summaries are built once however
+    many interprocedural rules consume them.
     """
 
     def __init__(self, contexts: Sequence[LintContext]) -> None:

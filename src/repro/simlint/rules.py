@@ -18,7 +18,7 @@ from .engine import Finding, LintContext, Rule, Severity
 #: execute between two `sim.run_until` calls and must be replayable.
 SIM_PACKAGES = frozenset(
     {"sim", "core", "cluster", "downstream", "triggers", "workloads",
-     "baselines", "parsim"})
+     "baselines"})
 
 #: Where SL002 (wall-clock/entropy) applies.  `sweep` and the benchmark
 #: layer legitimately read `time.perf_counter` for wall-clock reporting,
@@ -442,7 +442,7 @@ class WorkerScanInHandler(Rule):
                 "(total_running, capacity_threads) or maintain the sum "
                 "incrementally; keep per-worker-object loops in "
                 "construction/registration code")
-    packages = frozenset({"core", "parsim"})
+    packages = frozenset({"core"})
 
     #: Names that denote a worker collection: ``workers``, ``_workers``,
     #: ``all_workers``, ``workers_by_region``, ...
@@ -512,94 +512,6 @@ class WorkerScanInHandler(Rule):
         return "a lambda"
 
 
-class CrossRegionDirectAccess(Rule):
-    """SL009 — cross-region component access bypassing the shard mailbox.
-
-    Parallel mode partitions regions across shards; the only legal
-    cross-region interactions are timestamped mailbox messages
-    (``ShardPlatform.send`` / ``RemoteRegionHandle``).  Reaching into a
-    region-keyed map (``schedulers[r]``, ``durableqs_by_region[r]``)
-    and touching the component directly works by accident when both
-    regions share a process — and silently breaks shard-count parity
-    the moment they don't, because the interaction happens at the
-    caller's instant instead of one network latency later.
-
-    Exempt: the component's *own* region (``self.region`` key — the
-    sanctioned synchronous path), the queue-handle surface that is
-    identical for local shards and remote handles (``poll``/``ack``/
-    ``submit``/...), structural code that runs O(1) times, and the
-    mailbox's own receiving end (``handle_message`` / ``apply_*``).
-    """
-
-    id = "SL009"
-    severity = Severity.ERROR
-    title = "cross-region access bypassing the shard mailbox"
-    fix_hint = ("route cross-region interactions through the inter-shard "
-                "mailbox (ShardPlatform.send / RemoteRegionHandle); touch "
-                "a region-keyed map's components directly only for the "
-                "caller's own region (self.region)")
-    packages = frozenset({"core", "parsim"})
-
-    #: Maps keyed by region whose values are live components.
-    _REGION_MAPS = re.compile(
-        r"(_by_region$)|^(schedulers|workerlbs|queuelbs|frontends)$")
-    #: The scheduler-facing queue surface, identical on a real DurableQ
-    #: and a RemoteRegionHandle — calls through it are mailbox-safe.
-    _HANDLE_METHODS = frozenset(
-        {"poll", "ack", "nack", "extend_lease", "enqueue", "ready_count",
-         "pending_count", "leased_count", "submit"})
-    #: Construction/registration code plus the mailbox receiving end.
-    _EXEMPT = re.compile(
-        r"^(__init__|__post_init__|_?register\w*|_?add_\w+|_?build\w*|"
-        r"_?setup\w*|start|stop|close|shutdown|handle_message|"
-        r"_?apply\w*)$")
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if not isinstance(node, ast.Attribute):
-                continue
-            base, key = self._subscripted_map(node.value)
-            if base is None or not self._REGION_MAPS.search(base):
-                continue
-            if node.attr in self._HANDLE_METHODS:
-                continue
-            if self._is_self_region(key):
-                continue
-            fn = ctx.enclosing_function(node)
-            if fn is None:
-                continue  # module level runs once per import
-            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and self._EXEMPT.match(fn.name)):
-                continue
-            yield ctx.finding(
-                self, node,
-                f"direct {node.attr!r} access on {base!r}[...] — a "
-                "cross-region interaction that bypasses the inter-shard "
-                "mailbox and breaks shard-count parity")
-
-    @staticmethod
-    def _subscripted_map(expr: ast.expr):
-        """``(map_name, region_key)`` when ``expr`` is ``map[key](...[i])``."""
-        key = None
-        while isinstance(expr, ast.Subscript):
-            key = expr.slice
-            expr = expr.value
-        if key is None:
-            return None, None
-        if isinstance(expr, ast.Attribute):
-            return expr.attr, key
-        if isinstance(expr, ast.Name):
-            return expr.id, key
-        return None, None
-
-    @staticmethod
-    def _is_self_region(key: Optional[ast.expr]) -> bool:
-        return (isinstance(key, ast.Attribute)
-                and key.attr == "region"
-                and isinstance(key.value, ast.Name)
-                and key.value.id == "self")
-
-
 class CallViewRetention(Rule):
     """SL016 — call view retained past its terminal transition.
 
@@ -621,8 +533,8 @@ class CallViewRetention(Rule):
                 "state — snapshot the fields you need "
                 "(call.trace_snapshot(...) or copy them out) before "
                 "the handler returns; the arena slot is recycled")
-    #: The release points live in repro.core (platform/parsim handlers);
-    #: core is also where every terminal transition is written.
+    #: The release points live in repro.core (the platform's terminal
+    #: handlers); core is also where every terminal transition is written.
     packages = frozenset({"core"})
 
     _TERMINAL = frozenset({"COMPLETED", "FAILED", "EXPIRED", "THROTTLED"})
@@ -707,8 +619,7 @@ class CallViewRetention(Rule):
                 and value.value.id == "CallState")
 
 
-from .rules_flow import FLOW_RULES  # noqa: E402  (needs Rule defined)
-from .rules_typestate import TYPESTATE_RULES  # noqa: E402
+from .rules_typestate import TYPESTATE_RULES  # noqa: E402  (needs Rule)
 
 #: The registry walked by the CLI; order is display order.
 ALL_RULES = (
@@ -720,9 +631,21 @@ ALL_RULES = (
     EventHandleMisuse(),
     PerEventMetricLookup(),
     WorkerScanInHandler(),
-    CrossRegionDirectAccess(),
-) + FLOW_RULES + TYPESTATE_RULES + (CallViewRetention(),)
+) + TYPESTATE_RULES + (CallViewRetention(),)
 
 
 def rules_by_id() -> dict:
     return {rule.id: rule for rule in ALL_RULES}
+
+
+def rule_summary() -> str:
+    """``"12 rules: SL001-SL008, SL013-SL016"`` — derived, never stale."""
+    runs: list = []  # [first, last] of each consecutive id run
+    for num in sorted(int(rule.id[2:]) for rule in ALL_RULES):
+        if runs and num == runs[-1][1] + 1:
+            runs[-1][1] = num
+        else:
+            runs.append([num, num])
+    spans = ", ".join(f"SL{a:03d}" if a == b else f"SL{a:03d}-SL{b:03d}"
+                      for a, b in runs)
+    return f"{len(ALL_RULES)} rules: {spans}"

@@ -18,7 +18,7 @@ from .typestate import typestate_analysis
 class _TypestateRule(ProjectRule):
     """Shared dispatch: pick this rule's findings out of the analysis."""
 
-    packages = frozenset({"core", "sim", "parsim", "metrics", "cluster",
+    packages = frozenset({"core", "sim", "metrics", "cluster",
                           "downstream", "triggers", "workloads",
                           "baselines", "sweep"})
 

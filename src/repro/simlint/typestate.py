@@ -1,7 +1,6 @@
 """Typestate (protocol FSM) analysis for the lifecycle rules SL013–SL015.
 
-Where :mod:`repro.simlint.flow` answers "whose state is this value?",
-this module answers "what state is this value *in*?".  A
+This module answers "what state is this value *in*?".  A
 :class:`Protocol` declares a lifecycle as data — states, transitions,
 error states — and the engine tracks the abstract state of every
 tracked value through assignments, aliases, branches (joining state
@@ -11,7 +10,7 @@ summaries built on :mod:`repro.simlint.callgraph`:
 * **lease** (SL014) — ``DurableQ.poll`` leases calls; each must settle
   exactly once (``polled → acked | nacked``), and ``extend_lease`` is
   legal only while ``polled``.
-* **handle** (SL013) — ``sim.call_after/call_at/every/inject`` return
+* **handle** (SL013) — ``sim.call_after/call_at/every`` return
   one-shot handles (``armed → cancelled``); no second ``cancel``, no
   re-arm, no silently dropped armed binding.
 * **snapshot** (SL015) — ``MetricsRegistry.snapshot()`` captures; a
@@ -169,7 +168,7 @@ HANDLE = Protocol(
     rule_id="SL013",
     states=("armed", "cancelled"),
     initial="armed",
-    acquire=frozenset({"call_after", "call_at", "every", "inject"}),
+    acquire=frozenset({"call_after", "call_at", "every"}),
     acquire_collection=False,
     arg_events={},
     recv_events={"cancel": "cancel"},
@@ -255,6 +254,51 @@ _MUTATE_MESSAGE = ("registry mutated between snapshot() and the "
                    "and the mutation is lost to whoever merges it")
 _SELF_MERGE_MESSAGE = ("registry merged into itself — every metric "
                        "double-counts")
+
+
+def _collect_locals(fnode: ast.AST) -> Set[str]:
+    """Names bound inside ``fnode``, not descending into nested defs."""
+    names: Set[str] = set()
+    stack: List[ast.AST] = list(ast.iter_child_nodes(fnode))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _free_names(fnode: ast.AST) -> Set[str]:
+    """Names a nested def/lambda reads from its enclosing scope."""
+    if isinstance(fnode, ast.Lambda):
+        bound = {a.arg for a in fnode.args.args}
+        bound |= {a.arg for a in getattr(fnode.args, "posonlyargs", [])}
+        bound |= {a.arg for a in fnode.args.kwonlyargs}
+        body: Sequence[ast.AST] = [fnode.body]
+    elif isinstance(fnode, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        bound = set(_collect_locals(fnode))
+        args = fnode.args
+        bound |= {a.arg for a in args.args}
+        bound |= {a.arg for a in getattr(args, "posonlyargs", [])}
+        bound |= {a.arg for a in args.kwonlyargs}
+        body = fnode.body
+    else:
+        return set()
+    free: Set[str] = set()
+    for part in body:
+        for node in ast.walk(part):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                free |= _free_names(node)
+            elif (isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)):
+                free.add(node.id)
+    return free - bound
 
 
 @dataclass
@@ -653,7 +697,6 @@ class _FnWalk:
 
     # -- expressions -----------------------------------------------------
     def _escape_free_names(self, fnode: ast.AST, path: _Path) -> None:
-        from .flow import _free_names
         for name in sorted(_free_names(fnode)):
             oid = path.env.get(name)
             if oid is not None:

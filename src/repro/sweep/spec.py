@@ -39,10 +39,6 @@ class RunSpec:
     total_rate: float = 8.0
     n_functions: int = 60
     n_regions: int = 6
-    #: Kernel event-queue implementation ("heap"/"calendar"); None keeps
-    #: the simulator default.  Both backends are bit-identical, so this
-    #: is a perf knob, never a variant axis.
-    queue_backend: Optional[str] = None
     #: ``PlatformParams`` field overrides as sorted (name, value) pairs
     #: (a dict is unhashable; the tuple keeps RunSpec frozen-friendly).
     overrides: Tuple[Tuple[str, Any], ...] = ()
@@ -58,7 +54,6 @@ class RunSpec:
             "total_rate": self.total_rate,
             "n_functions": self.n_functions,
             "n_regions": self.n_regions,
-            "queue_backend": self.queue_backend,
             "overrides": self.overrides_dict(),
         }
 

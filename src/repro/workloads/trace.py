@@ -11,14 +11,7 @@ import csv
 import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, List, Tuple
-
-#: Modulus for the order-independent canonical digest: per-record
-#: SHA-256 values summed mod 2^256.  Addition is commutative, so the
-#: partial sums of per-shard trace logs combine to the same value no
-#: matter how calls were distributed across shards.
-_CANONICAL_MOD = 1 << 256
-
+from typing import Any, List, Tuple
 
 @dataclass(frozen=True)
 class CallTrace:
@@ -154,53 +147,6 @@ class TraceLog:
                            t.cpu_minstr, t.memory_mb, t.exec_time_s,
                            t.attempts)).encode())
         return h.hexdigest()
-
-    # ------------------------------------------------------------------
-    # Order-independent canonical digest (repro.parsim parity checks)
-    # ------------------------------------------------------------------
-    def canonical_partial(self) -> Tuple[int, int]:
-        """This log's contribution to the canonical digest.
-
-        Returns ``(sum of per-record SHA-256 mod 2**256, record count)``
-        over exactly the same 14-field tuples as :meth:`digest`.  Region
-        shards ship this 40-byte pair across the process boundary
-        instead of hundreds of thousands of trace rows; the coordinator
-        folds partials with :meth:`combine_canonical`.
-        """
-        self._materialize()
-        total = 0
-        sha256 = hashlib.sha256
-        for t in self._traces:
-            rec = sha256(repr((t.call_id, t.function, t.submit_time,
-                               t.start_time_requested, t.dispatch_time,
-                               t.finish_time, t.region_submitted,
-                               t.region_executed, t.worker, t.outcome,
-                               t.cpu_minstr, t.memory_mb, t.exec_time_s,
-                               t.attempts)).encode()).digest()
-            total = (total + int.from_bytes(rec, "big")) % _CANONICAL_MOD
-        return total, len(self._traces)
-
-    @staticmethod
-    def combine_canonical(partials: Iterable[Tuple[int, int]]) -> str:
-        """Fold :meth:`canonical_partial` pairs into one canonical digest.
-
-        The result depends only on the *multiset* of trace records, not
-        on arrival order or shard assignment — which is exactly the
-        parity property parallel mode must preserve: a serial run and an
-        N-shard run of the same scenario yield the same multiset of
-        per-call lifecycle tuples.
-        """
-        total = 0
-        count = 0
-        for partial, n in partials:
-            total = (total + partial) % _CANONICAL_MOD
-            count += n
-        return hashlib.sha256(
-            f"{count}:{total:064x}".encode()).hexdigest()
-
-    def canonical_digest(self) -> str:
-        """Order-independent digest of this log alone (see above)."""
-        return TraceLog.combine_canonical([self.canonical_partial()])
 
     def save_csv(self, path: Path) -> None:
         self._materialize()

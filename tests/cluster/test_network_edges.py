@@ -1,17 +1,13 @@
-"""Edge-case tests for the network model's parsim-facing surface.
+"""Edge-case tests for the network model.
 
-The conservative parallel runner (:mod:`repro.parsim`) leans on three
-properties of :class:`NetworkModel` that the main topology tests don't
-pin down: zero-size transfers cost exactly the latency, ring latency is
-symmetric (so the lookahead window is direction-independent), and a
-single-region topology degenerates to a uselessly small lookahead that
-must push the runner back to serial execution.
+Two properties of :class:`NetworkModel` that the main topology tests
+don't pin down: zero-size transfers cost exactly the latency, and ring
+latency is symmetric.
 """
 
 import pytest
 
-from repro.cluster import NetworkModel, build_topology
-from repro.parsim import ParsimSpec, run_parsim
+from repro.cluster import NetworkModel
 
 
 class TestTransferTimeEdges:
@@ -28,44 +24,7 @@ class TestTransferTimeEdges:
 
 class TestRingSymmetry:
     def test_latency_symmetric_all_pairs(self):
-        # Lookahead = min pairwise latency; the window would be
-        # direction-dependent (and the barrier protocol unsound) if
-        # latency(a, b) != latency(b, a) anywhere on the ring.
         net = NetworkModel([f"r{i}" for i in range(7)])
         for a in net.region_names:
             for b in net.region_names:
                 assert net.latency(a, b) == net.latency(b, a)
-
-    def test_lookahead_is_min_cross_latency(self):
-        net = NetworkModel([f"r{i}" for i in range(5)])
-        cross = [net.latency(a, b)
-                 for a in net.region_names for b in net.region_names
-                 if a != b]
-        assert net.lookahead() == min(cross)
-        assert net.max_latency() == max(cross)
-        # Adjacent regions (1 hop) pay only the base latency.
-        assert net.lookahead() == net.cross_latency_base_s
-
-    def test_topology_lookahead_delegates(self):
-        topo = build_topology(n_regions=4)
-        assert topo.lookahead() == topo.network.lookahead()
-
-
-class TestSingleRegionDegeneration:
-    def test_lookahead_degenerates_to_intra_latency(self):
-        net = NetworkModel(["only"])
-        assert net.lookahead() == net.intra_latency_s
-        assert net.max_latency() == net.intra_latency_s
-
-    def test_parallel_run_falls_back_to_serial(self):
-        # Asking for 4 shards over one region must not try to window on
-        # the intra-region latency (the run would barrier ~2M times per
-        # simulated 1000s); the runner refuses and runs serially.
-        spec = ParsimSpec(scenario="fleetrun", seed=3, horizon_s=30.0,
-                          total_rate=2.0, n_functions=4, n_regions=1,
-                          n_workers=8, n_shards=4)
-        result = run_parsim(spec)
-        assert result.n_shards == 1
-        assert result.fallback_reason is not None
-        assert "single-region" in result.fallback_reason
-        assert result.submitted > 0

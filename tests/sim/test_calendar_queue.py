@@ -1,32 +1,63 @@
-"""CalendarQueue vs tuple heap: bit-identical ordering under any schedule.
+"""EventQueue vs a brute-force reference: identical ordering under any schedule.
 
-The calendar backend is a pure performance knob — these tests pin the
-contract that makes that true: for the *same* push/cancel sequence, both
-backends pop the same entries in the same ``(time, priority, seq)``
+The kernel's heap queue has two fast paths that must never change the
+execution order: the zero-delay FIFO lane merged with the heap head, and
+lazy deletion with whole-queue compaction.  These tests pin that
+contract against a reference queue that keeps every entry in a list and
+pops the minimum live ``(time, priority, seq)`` key by linear scan: for
+the *same* push/cancel sequence, both pop the same keys in the same
 order, including same-timestamp FIFO ties, cancelled handles, the
-zero-delay lane, and across resize/compaction events.  The final class
-runs a miniature full platform under both backends and compares trace
-hashes — the end-to-end form of the same property.
+zero-delay lane, and across compaction.
 """
 
 import random
 
 import pytest
 
-from repro.sim.calqueue import _MIN_BUCKETS, CalendarQueue
 from repro.sim.events import _PURGE_MIN_CANCELLED, EventQueue
-from repro.sim.kernel import (
-    DEFAULT_QUEUE_BACKEND,
-    QUEUE_BACKENDS,
-    SimulationError,
-    Simulator,
-)
-
-from ..test_determinism_trace import _run_mini_dayrun, _trace_hash
 
 
 def noop():
     pass
+
+
+class _RefHandle:
+    __slots__ = ("cancelled",)
+
+    def __init__(self):
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceQueue:
+    """Unsorted list of ``((time, priority, seq), handle)``; O(n) pops."""
+
+    def __init__(self):
+        self._entries = []
+        self._seq = 0
+
+    def push(self, time, callback, priority=0):
+        handle = _RefHandle()
+        self._entries.append(((time, priority, self._seq), handle))
+        self._seq += 1
+        return handle
+
+    def push_zero(self, now, callback):
+        return self.push(now, callback)
+
+    def live_count(self):
+        return sum(not h.cancelled for _, h in self._entries)
+
+    def pop_key(self):
+        """Remove and return the smallest live key, or ``None``."""
+        live = [e for e in self._entries if not e[1].cancelled]
+        if not live:
+            return None
+        head = min(live, key=lambda e: e[0])
+        self._entries.remove(head)
+        return head[0]
 
 
 def drain(q):
@@ -41,11 +72,18 @@ def drain(q):
         out.append(entry[:3])
 
 
+def drain_ref(ref):
+    out = []
+    while (key := ref.pop_key()) is not None:
+        out.append(key)
+    return out
+
+
 def apply_ops(q, ops):
     """Replay a schedule: ('push', t, prio) | ('zero', now) | ('cancel', i).
 
     Returns handles in creation order so cancel indices line up across
-    backends.
+    queues.
     """
     handles = []
     for op in ops:
@@ -89,19 +127,20 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("trial", range(30))
     def test_identical_pop_order(self, trial):
         ops = random_schedule(random.Random(9000 + trial))
-        heap, cal = EventQueue(), CalendarQueue()
+        heap, ref = EventQueue(), ReferenceQueue()
         apply_ops(heap, ops)
-        apply_ops(cal, ops)
-        assert drain(heap) == drain(cal)
+        apply_ops(ref, ops)
+        assert heap.live_count() == ref.live_count()
+        assert drain(heap) == drain_ref(ref)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_interleaved_pop_push(self, trial):
         # Pop mid-schedule the way the kernel does, with the clock
         # following the popped entry's time.
         rng = random.Random(7000 + trial)
-        heap, cal = EventQueue(), CalendarQueue()
-        hh, hc = [], []
-        popped_h, popped_c = [], []
+        heap, ref = EventQueue(), ReferenceQueue()
+        hh, hr = [], []
+        popped_h, popped_r = [], []
         now = 0.0
         for step in range(400):
             r = rng.random()
@@ -109,34 +148,38 @@ class TestRandomizedEquivalence:
                 t = now + rng.choice([0.0, 0.5, rng.random() * 30])
                 prio = rng.choice([-1, 0, 0, 3])
                 hh.append(heap.push(t, noop, priority=prio))
-                hc.append(cal.push(t, noop, priority=prio))
-            elif r < 0.6 and hh:
+                hr.append(ref.push(t, noop, priority=prio))
+            elif r < 0.55:
+                hh.append(heap.push_zero(now, noop))
+                hr.append(ref.push_zero(now, noop))
+            elif r < 0.65 and hh:
                 i = rng.randrange(len(hh))
                 hh[i].cancel()
-                hc[i].cancel()
+                hr[i].cancel()
             else:
                 eh = heap._purge_head()
-                ec = cal._purge_head()
-                assert (eh is None) == (ec is None)
+                er = ref.pop_key()
+                assert (eh is None) == (er is None)
                 if eh is not None:
-                    a, b = heap._pop_head(), cal._pop_head()
-                    assert a[:3] == b[:3]
+                    a = heap._pop_head()
+                    assert a[:3] == er
                     popped_h.append(a[:3])
-                    popped_c.append(b[:3])
+                    popped_r.append(er)
                     now = max(now, a[0])
         popped_h += drain(heap)
-        popped_c += drain(cal)
-        assert popped_h == popped_c
+        popped_r += drain_ref(ref)
+        assert popped_h == popped_r
         assert len(popped_h) > 100
 
     def test_same_timestamp_fifo_within_priority(self):
-        heap, cal = EventQueue(), CalendarQueue()
+        heap, ref = EventQueue(), ReferenceQueue()
         ops = [("push", 5.0, p) for p in (0, 0, -1, 5, 0, -1)]
         ops += [("push", 5.0, 0)] * 10
+        ops += [("zero", 5.0)] * 3
         apply_ops(heap, ops)
-        apply_ops(cal, ops)
-        order = drain(cal)
-        assert order == drain(heap)
+        apply_ops(ref, ops)
+        order = drain(heap)
+        assert order == drain_ref(ref)
         # Within a priority class, seq (push order) strictly increases.
         by_prio = {}
         for _, prio, seq in order:
@@ -144,92 +187,12 @@ class TestRandomizedEquivalence:
             by_prio[prio] = seq
 
     def test_mass_cancellation_compaction_parity(self):
-        heap, cal = EventQueue(), CalendarQueue()
+        heap, ref = EventQueue(), ReferenceQueue()
         n = 6 * _PURGE_MIN_CANCELLED
         ops = [("push", float(i % 37), 0) for i in range(n)]
         ops += [("cancel", i) for i in range(n) if i % 4]
         apply_ops(heap, ops)
-        apply_ops(cal, ops)
-        assert heap.live_count() == cal.live_count()
-        assert drain(heap) == drain(cal)
-
-
-class TestCalendarInternals:
-    def test_grow_resize_preserves_order(self):
-        q = CalendarQueue()
-        times = [float(i % 97) * 0.7 for i in range(1000)]
-        for t in times:
-            q.push(t, noop)
-        assert len(q._buckets) > _MIN_BUCKETS  # ladder actually grew
-        assert [e[0] for e in drain(q)] == sorted(times)
-
-    def test_shrink_after_mass_cancel(self):
-        q = CalendarQueue()
-        handles = [q.push(float(i), noop) for i in range(2000)]
-        nbuckets_grown = len(q._buckets)
-        for h in handles[10:]:
-            h.cancel()
-        drained = drain(q)
-        assert [seq for _, _, seq in drained] == list(range(10))
-        assert len(q._buckets) < nbuckets_grown
-
-    def test_push_behind_cursor_rewinds(self):
-        q = CalendarQueue()
-        q.push(50.0, noop)
-        assert q._purge_head()[0] == 50.0  # cursor parked on day(50)
-        q.push(1.0, noop)  # behind the cursor
-        assert q._purge_head()[0] == 1.0
-        assert [e[0] for e in drain(q)] == [1.0, 50.0]
-
-    def test_sparse_times_use_direct_search(self):
-        # Gaps far wider than a year of buckets force the fallback scan.
-        q = CalendarQueue()
-        times = [0.0, 1e6, 7e6, 3e6]
-        for t in times:
-            q.push(t, noop)
-        assert [e[0] for e in drain(q)] == sorted(times)
-
-    def test_len_and_live_count_match_heap_semantics(self):
-        heap, cal = EventQueue(), CalendarQueue()
-        ops = [("push", float(i), 0) for i in range(20)]
-        ops += [("zero", 0.0)] * 3 + [("cancel", 4), ("cancel", 21)]
-        apply_ops(heap, ops)
-        apply_ops(cal, ops)
-        assert len(cal) == len(heap)
-        assert cal.live_count() == heap.live_count()
-
-    def test_cancel_after_pop_is_harmless(self):
-        q = CalendarQueue()
-        h = q.push(1.0, noop)
-        q.push(2.0, noop)
-        assert q.pop() is h
-        h.cancel()
-        assert q.live_count() == 1
-
-
-class TestBackendSelection:
-    def test_registry_and_default(self):
-        assert set(QUEUE_BACKENDS) == {"heap", "calendar"}
-        assert DEFAULT_QUEUE_BACKEND in QUEUE_BACKENDS
-        assert isinstance(Simulator()._queue,
-                          QUEUE_BACKENDS[DEFAULT_QUEUE_BACKEND])
-
-    def test_explicit_backends(self):
-        assert type(Simulator(queue_backend="heap")._queue) is EventQueue
-        assert isinstance(Simulator(queue_backend="calendar")._queue,
-                          CalendarQueue)
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SimulationError, match="calendar"):
-            Simulator(queue_backend="fibheap")
-
-
-class TestDayrunDigestParity:
-    def test_mini_dayrun_trace_parity_across_backends(self):
-        sim_h, platform_h = _run_mini_dayrun(seed=77, queue_backend="heap")
-        sim_c, platform_c = _run_mini_dayrun(seed=77,
-                                             queue_backend="calendar")
-        assert len(platform_h.traces) > 100, "mini-dayrun produced no work"
-        assert _trace_hash(platform_h) == _trace_hash(platform_c)
-        assert sim_h.events_executed == sim_c.events_executed
-        assert sim_h.now == sim_c.now
+        apply_ops(ref, ops)
+        assert len(heap) < n  # compaction actually ran
+        assert heap.live_count() == ref.live_count()
+        assert drain(heap) == drain_ref(ref)

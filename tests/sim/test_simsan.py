@@ -5,13 +5,14 @@ The two halves of the sanitizer contract:
 * **parity** — every wrapped surface (RNG streams, region maps) is
   bit-identical to the unwrapped one, up to and including a full
   sanitized dayrun digest;
-* **detection** — cross-shard access, out-of-order draws, and unsorted
-  region-map iteration raise :class:`SanitizeError`.
+* **detection** — out-of-order draws, unsorted region-map iteration,
+  and lease-protocol violations raise :class:`SanitizeError`.
 """
 
 import pytest
 
 from repro.sim import (
+    RegionMapProxy,
     RngRegistry,
     SanitizeError,
     SanitizedRngRegistry,
@@ -30,12 +31,8 @@ class FakeClock:
         self.now = now
 
 
-def make_sanitizer(now=0.0, allowed=None):
-    sanitizer = Sanitizer(FakeClock(now))
-    sanitizer.register_regions(REGIONS)
-    if allowed is not None:
-        sanitizer.restrict(allowed)
-    return sanitizer
+def make_sanitizer(now=0.0):
+    return Sanitizer(FakeClock(now))
 
 
 class TestStreamParity:
@@ -69,28 +66,11 @@ class TestStreamParity:
 
 
 class TestStreamChecks:
-    def test_owner_parsed_from_path_segments(self):
-        sanitizer = make_sanitizer()
-        assert sanitizer.owner_of_stream(
-            "config-jitter/region-01/sched") == "region-01"
-        assert sanitizer.owner_of_stream("dq-sweep/region-02/0") == \
-            "region-02"
-        assert sanitizer.owner_of_stream("region-00/tao") == "region-00"
-        for replicated in ("arrivals", "client-region",
-                           "resources/fn-0001", "periodic-jitter"):
-            assert sanitizer.owner_of_stream(replicated) is None
-
-    def test_foreign_region_stream_draw_raises(self):
-        registry = SanitizedRngRegistry(
-            7, make_sanitizer(allowed=["region-00"]))
-        stream = registry.stream("config-jitter/region-01/sched")
-        with pytest.raises(SanitizeError, match="region-01"):
-            stream.random()
-
     def test_owned_and_replicated_streams_draw_fine(self):
-        registry = SanitizedRngRegistry(
-            7, make_sanitizer(allowed=["region-00"]))
-        registry.stream("config-jitter/region-00/sched").random()
+        # Region-qualified and fleet-wide stream names are both legal.
+        registry = SanitizedRngRegistry(7, make_sanitizer())
+        for region in REGIONS:
+            registry.stream(f"config-jitter/{region}/sched").random()
         registry.stream("arrivals").random()
 
     def test_backwards_draw_time_raises(self):
@@ -111,38 +91,31 @@ class TestStreamChecks:
 
 
 class TestRegionMapProxy:
-    def test_foreign_key_read_write_delete_raise(self):
-        proxy = make_sanitizer(allowed=["region-00"]).region_map("schedulers")
-        dict.__setitem__(proxy, "region-01", "s")  # plant without checks
-        with pytest.raises(SanitizeError, match="read"):
-            proxy["region-01"]
-        with pytest.raises(SanitizeError, match="write"):
-            proxy["region-01"] = "t"
-        with pytest.raises(SanitizeError, match="delete"):
-            del proxy["region-01"]
-
     def test_owned_and_nonregion_keys_pass(self):
-        proxy = make_sanitizer(allowed=["region-00"]).region_map("m")
+        proxy = RegionMapProxy("m")
         proxy["region-00"] = 1
         assert proxy["region-00"] == 1
-        proxy["not-a-region"] = 2  # unknown names are not region keys
+        proxy["not-a-region"] = 2
         assert proxy["not-a-region"] == 2
 
     def test_membership_and_len_are_unchecked(self):
-        # Routing asks *whether* a shard hosts a region; that must not
-        # raise — only touching the entry crosses the boundary.
-        proxy = make_sanitizer(allowed=["region-00"]).region_map("m")
-        dict.__setitem__(proxy, "region-01", "s")
+        # Even out of sorted order, asking *whether* a key is present
+        # (or how many there are) is order-independent and never raises.
+        proxy = RegionMapProxy("m")
+        proxy["region-01"] = "s"
+        proxy["region-00"] = "t"
         assert "region-01" in proxy
-        assert len(proxy) == 1
+        assert len(proxy) == 2
 
     def test_unrestricted_sanitizer_allows_everything(self):
-        proxy = make_sanitizer().region_map("m")
+        proxy = RegionMapProxy("m")
         proxy["region-02"] = 3
         assert proxy["region-02"] == 3
+        del proxy["region-02"]
+        assert "region-02" not in proxy
 
     def test_unsorted_iteration_raises(self):
-        proxy = make_sanitizer().region_map("m")
+        proxy = RegionMapProxy("m")
         proxy["region-01"] = 1
         proxy["region-00"] = 0
         with pytest.raises(SanitizeError, match="sorted"):
@@ -153,28 +126,11 @@ class TestRegionMapProxy:
             list(proxy.values())
 
     def test_sorted_insertion_iterates_fine(self):
-        proxy = make_sanitizer().region_map("m")
+        proxy = RegionMapProxy("m")
         for r in sorted(REGIONS):
             proxy[r] = r
         assert list(proxy) == sorted(REGIONS)
         assert sorted(proxy.items()) == [(r, r) for r in sorted(REGIONS)]
-
-
-class TestRegionGuard:
-    def test_guard_scopes_and_restores(self):
-        sanitizer = make_sanitizer()
-        proxy = sanitizer.region_map("m")
-        proxy["region-01"] = 1
-        with sanitizer.region_guard(["region-00"]):
-            with pytest.raises(SanitizeError):
-                proxy["region-01"]
-        assert proxy["region-01"] == 1  # unrestricted again
-
-    def test_guard_restores_previous_restriction(self):
-        sanitizer = make_sanitizer(allowed=["region-00"])
-        with sanitizer.region_guard(REGIONS):
-            assert sanitizer.allowed_regions() == frozenset(REGIONS)
-        assert sanitizer.allowed_regions() == frozenset({"region-00"})
 
 
 class TestSimulatorWiring:

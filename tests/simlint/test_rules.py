@@ -20,10 +20,6 @@ CASES = {
     "SL006": ("core/bad_sl006.py", 3),
     "SL007": ("core/bad_sl007.py", 4),
     "SL008": ("core/bad_sl008.py", 5),
-    "SL009": ("parsim/bad_sl009.py", 4),
-    "SL010": ("parsim/bad_sl010.py", 5),
-    "SL011": ("parsim/bad_sl011.py", 3),
-    "SL012": ("parsim/bad_sl012.py", 5),
     "SL013": ("sim/bad_sl013.py", 6),
     "SL014": ("core/bad_sl014.py", 6),
     "SL015": ("metrics/bad_sl015.py", 4),
@@ -39,10 +35,6 @@ GOOD = {
     "SL006": "core/good_sl006.py",
     "SL007": "core/good_sl007.py",
     "SL008": "core/good_sl008.py",
-    "SL009": "parsim/good_sl009.py",
-    "SL010": "parsim/good_sl010.py",
-    "SL011": "parsim/good_sl011.py",
-    "SL012": "parsim/good_sl012.py",
     "SL013": "sim/good_sl013.py",
     "SL014": "core/good_sl014.py",
     "SL015": "metrics/good_sl015.py",
@@ -58,10 +50,6 @@ SUPPRESSED = {
     "SL006": "core/suppressed_sl006.py",
     "SL007": "core/suppressed_sl007.py",
     "SL008": "core/suppressed_sl008.py",
-    "SL009": "parsim/suppressed_sl009.py",
-    "SL010": "parsim/suppressed_sl010.py",
-    "SL011": "parsim/suppressed_sl011.py",
-    "SL012": "parsim/suppressed_sl012.py",
     "SL013": "sim/suppressed_sl013.py",
     "SL014": "core/suppressed_sl014.py",
     "SL015": "metrics/suppressed_sl015.py",
@@ -126,8 +114,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert sorted(rules_by_id()) == [
             "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
-            "SL008", "SL009", "SL010", "SL011", "SL012", "SL013", "SL014",
-            "SL015", "SL016"]
+            "SL008", "SL013", "SL014", "SL015", "SL016"]
 
     def test_every_rule_documents_itself(self):
         for rule in ALL_RULES:
@@ -140,27 +127,6 @@ class TestRegistry:
         found = lint_paths([FIXTURES], ALL_RULES)
         assert {f.rule_id for f in found} == set(CASES)
         assert any(f.severity is Severity.ERROR for f in found)
-
-
-class TestSL010SupersetOfSL009:
-    """The acceptance pairing: SL010 catches what SL009 provably
-    misses, and never re-reports what SL009 already covers."""
-
-    def test_aliased_fixture_is_sl009_clean_but_sl010_hit(self):
-        found = findings_for(CASES["SL010"][0])
-        assert [f for f in found if f.rule_id == "SL009"] == []
-        assert len([f for f in found if f.rule_id == "SL010"]) >= 5
-
-    def test_direct_fixture_is_sl010_clean(self):
-        # Every direct map[key].attr access in the SL009 TP fixture is
-        # SL009's finding alone — no double-reporting.
-        found = findings_for(CASES["SL009"][0])
-        assert [f for f in found if f.rule_id == "SL010"] == []
-        assert len([f for f in found if f.rule_id == "SL009"]) >= 4
-
-    def test_suppressed_sl009_does_not_resurface_as_sl010(self):
-        found = findings_for(SUPPRESSED["SL009"])
-        assert found == []
 
 
 class TestSL013SupersetOfSL006:

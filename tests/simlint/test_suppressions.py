@@ -1,23 +1,18 @@
-"""Suppression edge cases: decorator lines, comma lists, file-level
-suppressions under ``--select``, and the SL009/SL010 superset contract.
+"""Suppression edge cases: decorator lines, comma lists, and file-level
+suppressions under ``--select``.
 
 These pin down behaviors a casual reading of the suppression regexes
 would get wrong: a finding on a decorated ``def`` carries the ``def``
 line but may be annotated on the decorator; one comment can name many
-rules; ``disable-file`` mutes one rule without hiding the rest from a
-``--select`` run; and suppressing SL009 must not resurface the same
-direct access as SL010.
+rules; and ``disable-file`` mutes one rule without hiding the rest from
+a ``--select`` run.
 """
 
 import ast
 import json
-from pathlib import Path
 
-from repro.simlint import ALL_RULES, lint_paths
 from repro.simlint.cli import main as lint_main
 from repro.simlint.engine import Rule, Severity, lint_source
-
-FIXTURES = Path(__file__).parent / "fixtures" / "repro"
 
 
 class _DecoratedDefRule(Rule):
@@ -159,41 +154,3 @@ class TestDisableFileWithSelect:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert all(f["rule"] != "SL002" for f in doc["findings"])
-
-
-class TestSL009SuppressionVsSL010:
-    """SL010 is the semantic superset of SL009, but direct
-    ``map[key].attr`` sites belong to SL009 alone — suppressing SL009
-    must not resurface the identical defect under the flow rule.
-    """
-
-    def test_bad_sl009_fires_only_sl009(self):
-        findings = lint_paths([FIXTURES / "parsim" / "bad_sl009.py"],
-                              ALL_RULES)
-        assert findings and {f.rule_id for f in findings} == {"SL009"}
-
-    def test_file_suppression_silences_without_sl010_resurfacing(
-            self, tmp_path):
-        src = (FIXTURES / "parsim" / "bad_sl009.py").read_text(
-            encoding="utf-8")
-        mod = tmp_path / "repro" / "parsim"
-        mod.mkdir(parents=True)
-        target = mod / "bad_sl009.py"
-        target.write_text("# simlint: disable-file=SL009\n" + src,
-                          encoding="utf-8")
-        assert lint_paths([target], ALL_RULES) == []
-
-    def test_line_suppression_of_sl009_stays_silent_too(self, tmp_path):
-        source = (
-            "class P:\n"
-            "    def __init__(self, schedulers):\n"
-            "        self.schedulers = schedulers\n"
-            "\n"
-            "    def poke(self, r):\n"
-            "        self.schedulers[r].tick()"
-            "  # simlint: disable=SL009 -- probe\n")
-        mod = tmp_path / "repro" / "parsim"
-        mod.mkdir(parents=True)
-        target = mod / "probe.py"
-        target.write_text(source, encoding="utf-8")
-        assert lint_paths([target], ALL_RULES) == []

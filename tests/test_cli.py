@@ -46,6 +46,41 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--ablate", "nonsense"])
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--hours", "0"],
+        ["simulate", "--hours", "-1"],
+        ["simulate", "--hours", "nan"],
+        ["simulate", "--rate", "-2"],
+        ["simulate", "--functions", "2"],
+        ["simulate", "--regions", "0"],
+        ["simulate", "--target-utilization", "0"],
+        ["simulate", "--target-utilization", "1"],
+        ["simulate", "--locality-groups", "0"],
+        ["simulate", "--functions", "many"],
+        ["sweep", "--hours", "0"],
+        ["sweep", "--rate", "0"],
+        ["sweep", "--functions", "0"],
+        ["sweep", "--regions", "0"],
+        ["sweep", "--runs", "0"],
+        ["sweep", "--workers", "0"],
+        ["profile", "--hours", "-1"],
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, argv):
+        # Exit 2 with argparse's usage message naming the flag, before
+        # anything is built — never a traceback from inside the model.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {argv[1]}" in err
+
+    def test_lint_help_lists_every_rule(self, capsys):
+        from repro.simlint import ALL_RULES
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert f"{len(ALL_RULES)} rules" in out
+
 
 class TestCommands:
     def test_lifecycle_prints_tables(self, capsys):
