@@ -301,12 +301,10 @@ def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
     with recorder.capturing():
         run = build_dayrun(seed=args.seed, horizon_s=horizon_s)
     digest = run.platform.traces.digest()
-    arena = run.platform.arena
-    arena_stats = {
-        "rows": len(arena),
-        "allocated_total": arena.allocated_total,
-        "released_total": arena.released_total,
-        "live_at_end": arena.live_count(),
+    calls = {
+        "submitted": run.platform.submitted_count,
+        "peak_in_flight": len(run.platform.arena),
+        "in_flight_at_end": run.platform.arena.live,
     }
     if args.json:
         print(json.dumps({
@@ -314,16 +312,15 @@ def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
             "events_executed": run.sim.events_executed,
             "trace_digest": digest,
             "alloc": recorder.to_json(top=args.top),
-            "call_arena": arena_stats,
+            "calls": calls,
         }, indent=1))
     else:
         print()
         print(recorder.table(top=args.top))
         print()
-        print(f"call arena: {arena_stats['allocated_total']} calls in "
-              f"{arena_stats['rows']} rows "
-              f"({arena_stats['released_total']} slots recycled, "
-              f"{arena_stats['live_at_end']} live at end)")
+        print(f"calls: {calls['submitted']} submitted, "
+              f"{calls['peak_in_flight']} peak in flight, "
+              f"{calls['in_flight_at_end']} in flight at end")
         print(f"events executed: {run.sim.events_executed}, "
               f"trace digest {digest[:12]}...")
     if args.expect_digest and digest != args.expect_digest:
@@ -475,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--alloc", action="store_true",
                         help="attribute allocations (tracemalloc) instead "
                              "of wall time: live blocks/bytes per source "
-                             "file, peak traced memory, and call-arena "
-                             "recycling stats")
+                             "file, peak traced memory, and the peak "
+                             "number of calls in flight")
     prof_p.add_argument("--expect-digest", metavar="SHA256",
                         help="fail unless the profiled run's trace digest "
                              "matches (CI parity check)")

@@ -65,7 +65,8 @@ class DurableQ:
     # ------------------------------------------------------------------
     def enqueue(self, call: FunctionCall) -> None:
         """Persist a call (write from a submitter via QueueLB)."""
-        call.mark_queued(self.region)
+        call.state = CallState.QUEUED
+        call.durableq_region = self.region
         name = call.function_name
         self._register_name(name)
         heapq.heappush(self._queues[name],
@@ -122,7 +123,7 @@ class DurableQ:
                 if start_time > now:
                     break
                 heappop(queue)
-                call.mark_buffered()
+                call.state = CallState.BUFFERED
                 if guard is not None:
                     guard.on_lease(self.name, call.call_id)
                 leases[call.call_id] = _Lease(
@@ -178,8 +179,7 @@ class DurableQ:
     def ack_by_id(self, call_id: int) -> Optional[FunctionCall]:
         """ACK a leased call identified only by its id.
 
-        Returns the acked call (or None when no lease matched) so the
-        caller can recycle its arena slot.
+        Returns the acked call, or None when no lease matched.
         """
         if self._lease_guard is not None:
             self._lease_guard.on_ack(self.name, call_id)

@@ -31,7 +31,7 @@ from ..sim.sampler import SamplerHub
 from ..sim.simsan import region_map
 from ..workloads.spec import FunctionSpec, QuotaType
 from ..workloads.trace import TraceLog
-from .call import CallArena, CallIdAllocator, CallOutcome, FunctionCall
+from .call import CallIdAllocator, CallOutcome, FunctionCall
 from .codedeploy import CodeDeployer, RolloutParams
 from .config import ConfigStore
 from .congestion import CongestionController, CongestionParams
@@ -87,6 +87,29 @@ class PlatformParams:
     aimd: bool = True
 
 
+class InFlightCalls:
+    """Count of calls submitted and not yet terminal, and its peak.
+
+    ``len()`` is the peak, the most call records the platform ever held
+    at once (xbench reports it as ``metrics.arena_rows``).
+    """
+
+    __slots__ = ("live", "peak")
+
+    def __init__(self) -> None:
+        self.live = 0
+        self.peak = 0
+
+    def __len__(self) -> int:
+        return self.peak
+
+    def add(self) -> None:
+        live = self.live + 1
+        self.live = live
+        if live > self.peak:
+            self.peak = live
+
+
 class XFaaS:
     """One namespace's XFaaS deployment across a topology."""
 
@@ -99,11 +122,8 @@ class XFaaS:
         self.metrics = MetricsRegistry()
         self.traces = TraceLog()
         self._call_id_allocator = CallIdAllocator()
-        #: Columnar store for every call record this platform creates
-        #: (see :mod:`repro.core.callarena`).  Bulk-arrival slots are
-        #: recycled on terminalization, so steady-state memory is
-        #: O(in-flight calls), not O(calls submitted).
-        self.arena = CallArena()
+        #: Calls submitted and not yet terminal; ``len()`` is the peak.
+        self.arena = InFlightCalls()
         self.services = services or ServiceRegistry()
         self.namespaces = NamespaceRegistry()
         self.config = ConfigStore(sim, params.config_propagation_s)
@@ -331,23 +351,25 @@ class XFaaS:
             raise KeyError(f"function {function_name!r} is not registered")
         if start_delay_s < 0:
             raise ValueError("start_delay_s must be >= 0")
+        if region and region not in self.topology.region_names:
+            raise ValueError(
+                f"unknown region {region!r}; known regions: "
+                f"{self.topology.region_names}")
         region = region or self._pick_client_region()
         now = self.sim.now
         # call_id comes from the platform's own allocator: ids (and thus
         # trace digests) must depend only on this run, never on how many
         # simulations the process ran before (simlint SL001) — the sweep
         # engine compares digests across workers.
-        # Pinned arena row: the call is handed back to the caller, who
-        # may hold it indefinitely, so its slot is never recycled.
         call = FunctionCall(spec=spec, submit_time=now,
                             start_time=now + start_delay_s,
                             region_submitted=region,
                             source_level=source_level,
                             args_size_kb=args_size_kb,
-                            call_id=self._call_id_allocator.allocate(),
-                            arena=self.arena)
+                            call_id=self._call_id_allocator.allocate())
         self._calls_received.add(now)
         self.submitted_count += 1
+        self.arena.add()
         accepted = self.frontends[region].submit(call)
         return call if accepted else None
 
@@ -356,20 +378,18 @@ class XFaaS:
         """Bulk arrival-stream submission: one call, nothing returned.
 
         The :class:`~repro.workloads.generator.ArrivalGenerator` fast
-        path: materializes the arrival record directly into an
-        *unpinned* arena slot (recycled when the call terminalizes) and
-        skips the name lookup and return plumbing of :meth:`submit`.
-        Draw-for-draw identical to ``submit(spec.name,
+        path: skips the name lookup and return plumbing of
+        :meth:`submit`.  Draw-for-draw identical to ``submit(spec.name,
         start_delay_s=...)`` — same RNG stream order, same counters —
         so trace digests are unchanged.
         """
         region = self._pick_client_region()
         now = self.sim.now
-        call = FunctionCall.new_streamed(
-            spec, now, now + start_delay_s, region,
-            self._call_id_allocator.allocate(), self.arena)
+        call = FunctionCall(spec, now, now + start_delay_s, region,
+                            call_id=self._call_id_allocator.allocate())
         self._calls_received.add(now)
         self.submitted_count += 1
+        self.arena.add()
         self.frontends[region].submit(call)
 
     def spec(self, function_name: str) -> FunctionSpec:
@@ -446,17 +466,14 @@ class XFaaS:
                 call, outcome.value if outcome else "unknown")
         for listener in self._completion_listeners:
             listener(call, outcome)
-        # Terminalized: recycle the arena slot (no-op for pinned rows).
-        # Nothing may touch ``call`` past this line — the trace log
-        # snapshotted above, and listeners retain call ids, not views.
-        call.arena.release(call.slot, call.gen)
+        self.arena.live -= 1
 
     def _on_throttle(self, call: FunctionCall) -> None:
         self.throttled_count += 1
         self._calls_throttled.add(self.sim.now)
         if self.params.collect_traces:
             self.traces.add_call(call, "throttled")
-        call.arena.release(call.slot, call.gen)
+        self.arena.live -= 1
 
     # ------------------------------------------------------------------
     # Periodic samplers

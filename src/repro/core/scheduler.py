@@ -332,8 +332,7 @@ class Scheduler:
                     self._buffered_total -= 1
                     continue  # terminal; next call
                 # head[0][1] is the memoized sort key's deadline term —
-                # exactly start_time + spec.deadline_s, without touching
-                # the call's arena columns.
+                # exactly start_time + spec.deadline_s.
                 if drop_expired and now > head[0][1]:
                     self.expired_count += 1
                     self._finalize(call, CallOutcome.ERROR, expired=True)
@@ -349,7 +348,7 @@ class Scheduler:
                 # Inline congestion.on_dispatch on the resolved state.
                 cong_st.running += 1
                 cong_st.window_dispatches += 1
-                call.mark_running()
+                call.state = CallState.RUNNING
                 if dispatch(call):
                     self.dispatched_count += 1
                     continue
@@ -358,7 +357,7 @@ class Scheduler:
                 # keeps its gate token; the next tick's recycle refunds
                 # it otherwise).
                 if not runq.full and len(runq) < park_limit:
-                    call.mark_runnable()
+                    call.state = CallState.RUNNABLE
                     runq.push(call)
                     continue
                 # Pipeline full: refund and look a bounded number of
@@ -382,7 +381,7 @@ class Scheduler:
                     cong_st.window_dispatches = wd if wd > 0.0 else 0.0
                     tokens = bucket.tokens + 1.0
                     bucket.tokens = tokens if tokens < cap else cap
-                    call.mark_buffered()
+                    call.state = CallState.BUFFERED
                     buffer.push(call)
                     self._buffered_total += 1
 
@@ -400,11 +399,11 @@ class Scheduler:
             call = self.runq.pop()
             if call is None:
                 break
-            call.mark_running()
+            call.state = CallState.RUNNING
             if self.workerlb.dispatch(call):
                 self.dispatched_count += 1
             else:
-                call.mark_runnable()
+                call.state = CallState.RUNNABLE
                 refused.append(call)
                 misses += 1
         for call in refused:
@@ -414,7 +413,7 @@ class Scheduler:
         name = call.function_name
         self.congestion.cancel_dispatch(name)
         self.rate_limiter.refund(name)
-        call.mark_buffered()
+        call.state = CallState.BUFFERED
         buffer = self._buffers.get(name)
         if buffer is None:
             buffer = FuncBuffer(name)
@@ -457,15 +456,17 @@ class Scheduler:
         if entry is not None:
             _, shard = entry
             shard.ack(call)
+        call.outcome = outcome
         if expired:
-            state = CallState.EXPIRED
+            call.state = CallState.EXPIRED
         elif outcome is CallOutcome.OK:
-            state = CallState.COMPLETED
+            call.state = CallState.COMPLETED
             self.completed_count += 1
         else:
-            state = CallState.FAILED
+            call.state = CallState.FAILED
             self.failed_count += 1
-        call.terminalize(outcome, state, self.sim.now)
+        if call.finish_time is None:
+            call.finish_time = self.sim.now
         if self.on_done is not None:
             self.on_done(call, outcome)
 

@@ -372,7 +372,9 @@ class Worker:
         self.cpu.on_start(now, cpu_load)
         self._live_memory_mb += mem_mb
         self._window_functions.add(name)
-        call.mark_dispatched(self.name, now)
+        call.worker_name = self.name
+        if call.dispatch_time is None:
+            call.dispatch_time = now
         self.calls_started += 1
         handle = self.sim.call_after(
             duration, lambda: self._complete(call.call_id))

@@ -306,10 +306,8 @@ class AllocationRecorder:
     The time profiler says where the *seconds* go; this says where the
     *objects* come from.  It samples the heap with :mod:`tracemalloc`
     around a run and attributes live blocks and bytes to source files,
-    which is exactly the view that motivated the call-record arena: a
-    boxed-dataclass call layer shows up as tens of thousands of live
-    blocks in ``core/call.py``/``core/platform.py``, an arena-backed one
-    as a handful of flat columns.
+    so a layer that retains objects (the trace log's per-call tuples,
+    say) shows up by file.
 
     Same determinism contract as :class:`ProfileRecorder`: tracemalloc
     only observes the allocator, so the traced run's digest is

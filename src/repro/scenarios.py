@@ -79,8 +79,7 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
                  target_utilization: float = 0.70,
                  overrides: Optional[dict] = None,
                  profiler: Optional[object] = None,
-                 sanitize: bool = False,
-                 gc_mode: Optional[str] = None) -> DayRun:
+                 sanitize: bool = False) -> DayRun:
     """Build and run the shared full-day simulation.
 
     The default invocation reproduces the paper-shaped workload used by
@@ -98,13 +97,8 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
     ``sanitize`` runs the whole scenario under the
     :mod:`repro.sim.simsan` runtime sanitizer; behavior (and the trace
     digest) is bit-identical, but determinism violations raise.
-
-    ``gc_mode="freeze"`` freezes the post-setup heap and disables the
-    cyclic collector inside the kernel's run loops (see
-    :class:`~repro.sim.kernel.Simulator`); allocation behavior is
-    GC-invariant, so the trace digest is bit-identical either way.
     """
-    sim = Simulator(seed=seed, sanitize=sanitize, gc_mode=gc_mode)
+    sim = Simulator(seed=seed, sanitize=sanitize)
     if profiler is not None:
         sim.profiler = profiler
     diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=peak_to_trough)
@@ -146,9 +140,8 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
         platform.register_spiky_client(
             platform.spec(spiky_function).team)
 
-    # The arrival stream materializes batches directly into unpinned
-    # arena slots — submit_stream is draw-for-draw identical to
-    # submit(spec.name, ...) but recycles each slot on terminalization.
+    # submit_stream is draw-for-draw identical to submit(spec.name, ...)
+    # minus the name lookup and the returned call.
     ArrivalGenerator(sim, population, platform.submit_stream,
                      tick_s=20.0, stop_at=horizon_s)
     sim.run_until(horizon_s)
@@ -164,8 +157,7 @@ def build_fleetrun(n_workers: int, seed: int = 7,
                    opportunistic_fraction: float = 0.5,
                    overrides: Optional[dict] = None,
                    run_sim: bool = True,
-                   sanitize: bool = False,
-                   gc_mode: Optional[str] = None) -> DayRun:
+                   sanitize: bool = False) -> DayRun:
     """Build and run a dayrun slice over an *explicit-size* worker fleet.
 
     The scale-ladder companion to :func:`build_dayrun`: the workload
@@ -183,7 +175,7 @@ def build_fleetrun(n_workers: int, seed: int = 7,
     if n_workers < n_regions:
         raise ValueError(
             f"n_workers={n_workers} must be >= n_regions={n_regions}")
-    sim = Simulator(seed=seed, sanitize=sanitize, gc_mode=gc_mode)
+    sim = Simulator(seed=seed, sanitize=sanitize)
     diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=4.3)
     population = build_population(
         n_functions=n_functions, total_rate=total_rate,

@@ -12,7 +12,6 @@ simulator it runs on, which keeps tests hermetic.
 
 from __future__ import annotations
 
-import gc as _gc
 from typing import Any, Callable, Optional
 
 from .events import EventQueue, ScheduledEvent, Signal
@@ -22,14 +21,6 @@ from .simsan import Sanitizer, SanitizedRngRegistry
 
 class SimulationError(Exception):
     """Raised for kernel misuse (scheduling in the past, etc.)."""
-
-
-#: Selectable cyclic-GC disciplines for the run loops.  ``None`` leaves
-#: the collector alone; ``"freeze"`` moves the post-setup heap to the
-#: permanent generation once and keeps the collector disabled while a
-#: run loop executes.  GC never changes allocation behavior, so traces
-#: are bit-identical across modes (the CI bench smoke pins this).
-GC_MODES = (None, "freeze")
 
 
 class Simulator:
@@ -46,23 +37,9 @@ class Simulator:
         bit-identical to the unsanitized one (checks observe, never
         draw or reorder); violations raise
         :class:`~repro.sim.simsan.SanitizeError`.
-    gc_mode:
-        Cyclic-GC discipline for the run loops, a member of
-        :data:`GC_MODES`.  ``"freeze"`` runs one full collection and
-        freezes the surviving heap into the permanent generation on
-        first loop entry (the setup objects — topology, workers,
-        schedulers — are effectively immortal anyway), then disables
-        the collector for the duration of every
-        :meth:`run`/:meth:`run_until` loop, restoring it on exit or
-        exception.  Steady-state call records live in the call arena's
-        flat columns, so skipping cycle detection during the loop is
-        safe *and* removes every generational scan from the hot path.
-        Digests are bit-identical across modes.
     """
 
-    def __init__(self, seed: int = 0,
-                 sanitize: bool = False,
-                 gc_mode: Optional[str] = None) -> None:
+    def __init__(self, seed: int = 0, sanitize: bool = False) -> None:
         self._now = 0.0
         self._queue = EventQueue()
         #: Runtime sanitizer, or None when ``sanitize`` is off.  Set
@@ -75,11 +52,6 @@ class Simulator:
                 seed, self.sanitizer)
         else:
             self.rng = RngRegistry(seed)
-        if gc_mode not in GC_MODES:
-            raise SimulationError(
-                f"unknown gc_mode {gc_mode!r}; expected one of {GC_MODES}")
-        self.gc_mode = gc_mode
-        self._gc_frozen = False
         self._running = False
         self._stopped = False
         self.events_executed = 0
@@ -156,86 +128,55 @@ class Simulator:
         """
         if time < self._now:
             raise SimulationError(f"run_until({time}) is in the past")
-        gc_restore = (self.gc_mode is not None) and self._gc_loop_enter()
+        if self.profiler is not None:
+            self.profiler.run_until(self, time)
+            return
+        self._stopped = False
+        self._running = True
+        queue = self._queue
+        purge_head = queue._purge_head
+        pop_head = queue._pop_head
+        executed = 0
         try:
-            if self.profiler is not None:
-                self.profiler.run_until(self, time)
-                return
-            self._stopped = False
-            self._running = True
-            queue = self._queue
-            purge_head = queue._purge_head
-            pop_head = queue._pop_head
-            executed = 0
-            try:
-                while not self._stopped:
-                    head = purge_head()
-                    if head is None or head[0] > time:
-                        break
-                    entry = pop_head()
-                    self._now = entry[0]
-                    executed += 1
-                    entry[3].callback()
-                if self._now < time:
-                    self._now = time
-            finally:
-                self.events_executed += executed
-                self._running = False
+            while not self._stopped:
+                head = purge_head()
+                if head is None or head[0] > time:
+                    break
+                entry = pop_head()
+                self._now = entry[0]
+                executed += 1
+                entry[3].callback()
+            if self._now < time:
+                self._now = time
         finally:
-            if gc_restore:
-                _gc.enable()
+            self.events_executed += executed
+            self._running = False
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains (or ``max_events`` executed)."""
-        gc_restore = (self.gc_mode is not None) and self._gc_loop_enter()
+        if self.profiler is not None:
+            self.profiler.run(self, max_events)
+            return
+        self._stopped = False
+        self._running = True
+        queue = self._queue
+        purge_head = queue._purge_head
+        pop_head = queue._pop_head
+        limit = max_events if max_events is not None else -1
+        executed = 0
         try:
-            if self.profiler is not None:
-                self.profiler.run(self, max_events)
-                return
-            self._stopped = False
-            self._running = True
-            queue = self._queue
-            purge_head = queue._purge_head
-            pop_head = queue._pop_head
-            limit = max_events if max_events is not None else -1
-            executed = 0
-            try:
-                while not self._stopped:
-                    if executed == limit:
-                        break
-                    if purge_head() is None:
-                        break
-                    entry = pop_head()
-                    self._now = entry[0]
-                    executed += 1
-                    entry[3].callback()
-            finally:
-                self.events_executed += executed
-                self._running = False
+            while not self._stopped:
+                if executed == limit:
+                    break
+                if purge_head() is None:
+                    break
+                entry = pop_head()
+                self._now = entry[0]
+                executed += 1
+                entry[3].callback()
         finally:
-            if gc_restore:
-                _gc.enable()
-
-    def _gc_loop_enter(self) -> bool:
-        """Apply ``gc_mode`` on loop entry; True if exit must re-enable.
-
-        The freeze (collect + move survivors to the permanent
-        generation) happens once per simulator, on first entry — a
-        caller that advances the clock in many ``run_until`` windows
-        (as xbench's windowed driving does) would pay more for
-        re-freezing each window than the collector it displaces.  The
-        disable is per-entry and restored by the caller's ``finally`` only when
-        the collector was enabled on the way in, so nested/recursive
-        loops and user-disabled collectors stay undisturbed.
-        """
-        if not self._gc_frozen:
-            _gc.collect()
-            _gc.freeze()
-            self._gc_frozen = True
-        if _gc.isenabled():
-            _gc.disable()
-            return True
-        return False
+            self.events_executed += executed
+            self._running = False
 
     def stop(self) -> None:
         """Stop the currently running :meth:`run`/:meth:`run_until` loop."""

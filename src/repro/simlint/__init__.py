@@ -10,8 +10,8 @@ across back-to-back runs in one process (the PR 2 call-id bug), a
 
 ``simlint`` encodes the contract as a small stdlib-``ast`` rule engine
 (:mod:`repro.simlint.engine`) plus a curated ruleset
-(:mod:`repro.simlint.rules`, twelve rules: SL001–SL008 and
-SL013–SL016, including the interprocedural lifecycle typestate rules
+(:mod:`repro.simlint.rules`, eleven rules: SL001–SL008 and
+SL013–SL015, including the interprocedural lifecycle typestate rules
 backed by :mod:`repro.simlint.typestate`).  Run it as::
 
     python -m repro lint                # lint src/repro, text output

@@ -512,113 +512,6 @@ class WorkerScanInHandler(Rule):
         return "a lambda"
 
 
-class CallViewRetention(Rule):
-    """SL016 — call view retained past its terminal transition.
-
-    Since the call-record arena, a ``FunctionCall`` is a slot *view*:
-    once the call terminalizes, the platform releases its arena row and
-    the slot is recycled for a later arrival.  Storing the view into an
-    attribute or a container *after* the terminal transition escapes it
-    past that release point — a later dereference raises
-    ``StaleCallError`` at best, and without the generation guard would
-    silently read the next occupant's fields.  Terminal handlers may
-    read the view freely (the release happens after they return); what
-    they must not do is keep it.
-    """
-
-    id = "SL016"
-    severity = Severity.ERROR
-    title = "call view retained past its terminal transition"
-    fix_hint = ("don't store a FunctionCall after setting a terminal "
-                "state — snapshot the fields you need "
-                "(call.trace_snapshot(...) or copy them out) before "
-                "the handler returns; the arena slot is recycled")
-    #: The release points live in repro.core (the platform's terminal
-    #: handlers); core is also where every terminal transition is written.
-    packages = frozenset({"core"})
-
-    _TERMINAL = frozenset({"COMPLETED", "FAILED", "EXPIRED", "THROTTLED"})
-    _APPENDERS = frozenset({"append", "appendleft", "add", "push", "put",
-                            "setdefault"})
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not isinstance(ctx.enclosing_function(node),
-                                  (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield from self._check_function(ctx, node)
-
-    def _check_function(self, ctx: LintContext,
-                        fn: ast.AST) -> Iterator[Finding]:
-        # First terminal transition per local name:
-        #     <name>.state = CallState.<TERMINAL>
-        #     <name>.terminalize(...)          (the fused form)
-        transitions: dict = {}
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Attribute)):
-                target = node.targets[0]
-                if (target.attr == "state"
-                        and isinstance(target.value, ast.Name)
-                        and self._is_terminal_state(node.value)):
-                    name = target.value.id
-                    line = transitions.get(name)
-                    if line is None or node.lineno < line:
-                        transitions[name] = node.lineno
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "terminalize"
-                    and isinstance(node.func.value, ast.Name)):
-                name = node.func.value.id
-                line = transitions.get(name)
-                if line is None or node.lineno < line:
-                    transitions[name] = node.lineno
-        if not transitions:
-            return
-        # Escapes of that name on a later line: attribute stores,
-        # subscript stores, and container-append calls.  Reads (and
-        # plain call arguments, e.g. listener callbacks that run before
-        # the release) are fine.
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign):
-                value = node.value
-                if not (isinstance(value, ast.Name)
-                        and value.id in transitions
-                        and node.lineno > transitions[value.id]):
-                    continue
-                if any(isinstance(t, (ast.Attribute, ast.Subscript))
-                       for t in node.targets):
-                    yield ctx.finding(
-                        self, node,
-                        f"{value.id!r} is stored after its terminal "
-                        f"transition on line {transitions[value.id]} — "
-                        "the arena slot is released when the handler "
-                        "returns, so this reference goes stale")
-            elif isinstance(node, ast.Call):
-                fn_expr = node.func
-                if not (isinstance(fn_expr, ast.Attribute)
-                        and fn_expr.attr in self._APPENDERS):
-                    continue
-                for arg in node.args:
-                    if (isinstance(arg, ast.Name) and arg.id in transitions
-                            and node.lineno > transitions[arg.id]):
-                        yield ctx.finding(
-                            self, node,
-                            f"{arg.id!r} escapes into a container "
-                            f"(.{fn_expr.attr}) after its terminal "
-                            f"transition on line {transitions[arg.id]} — "
-                            "the arena slot is released when the "
-                            "handler returns, so this reference goes "
-                            "stale")
-
-    @classmethod
-    def _is_terminal_state(cls, value: ast.expr) -> bool:
-        return (isinstance(value, ast.Attribute)
-                and value.attr in cls._TERMINAL
-                and isinstance(value.value, ast.Name)
-                and value.value.id == "CallState")
-
-
 from .rules_typestate import TYPESTATE_RULES  # noqa: E402  (needs Rule)
 
 #: The registry walked by the CLI; order is display order.
@@ -631,7 +524,7 @@ ALL_RULES = (
     EventHandleMisuse(),
     PerEventMetricLookup(),
     WorkerScanInHandler(),
-) + TYPESTATE_RULES + (CallViewRetention(),)
+) + TYPESTATE_RULES
 
 
 def rules_by_id() -> dict:
@@ -639,7 +532,7 @@ def rules_by_id() -> dict:
 
 
 def rule_summary() -> str:
-    """``"12 rules: SL001-SL008, SL013-SL016"`` — derived, never stale."""
+    """``"11 rules: SL001-SL008, SL013-SL015"`` — derived, never stale."""
     runs: list = []  # [first, last] of each consecutive id run
     for num in sorted(int(rule.id[2:]) for rule in ALL_RULES):
         if runs and num == runs[-1][1] + 1:

@@ -56,9 +56,7 @@ def snapshot_call(call: Any, outcome_name: str) -> Tuple[Any, ...]:
 
     Duck-typed over :class:`repro.core.call.FunctionCall` (this module
     must not import ``repro.core``): any object with the call lifecycle
-    attributes works.  Arena-backed calls provide a columnar fast path
-    (``trace_snapshot``) that :meth:`TraceLog.add_call` prefers; this
-    generic reader is the fallback for other call-like objects.
+    attributes works.
     """
     resources = call.resources or (0.0, 0.0, 0.0)
     spec = call.spec
@@ -87,10 +85,9 @@ class TraceLog:
     path) snapshots the call's fields into a plain constructor tuple
     and defers the 17-field dataclass construction until the log is
     first *read*.  Snapshotting at add time (rather than retaining the
-    call object) is what lets the platform release the call's arena
-    slot immediately after — the log never holds a view across its
-    release point (simlint SL016).  ``digest()`` is the regression test
-    that the deferred construction yields byte-identical traces.
+    call object) lets the platform drop the call as soon as it
+    terminalizes.  ``digest()`` is the regression test that the
+    deferred construction yields byte-identical traces.
     """
 
     def __init__(self) -> None:
@@ -112,9 +109,7 @@ class TraceLog:
 
     def add_call(self, call: Any, outcome_name: str) -> None:
         """Record a finished call, snapshotting its fields immediately."""
-        snap = getattr(call, "trace_snapshot", None)
-        self._pending.append(snap(outcome_name) if snap is not None
-                             else snapshot_call(call, outcome_name))
+        self._pending.append(snapshot_call(call, outcome_name))
 
     def _materialize(self) -> None:
         if self._pending:

@@ -37,6 +37,18 @@ class TestLifecycle:
         with pytest.raises(KeyError):
             platform.submit("ghost")
 
+    def test_unknown_region_rejected_before_any_accounting(self):
+        sim, platform = make_platform()
+        platform.register_function(FunctionSpec(name="f", profile=profile()))
+        received = platform.metrics.counter("calls.received")
+        with pytest.raises(ValueError, match="known regions"):
+            platform.submit("f", region="nowhere")
+        assert platform.submitted_count == 0
+        assert received.total == 0
+        assert platform.arena.live == 0
+        # No call id was consumed: the next call gets the first one.
+        assert platform.submit("f").call_id == 1
+
     def test_wrong_namespace_rejected(self):
         sim, platform = make_platform()
         with pytest.raises(ValueError):
@@ -84,6 +96,30 @@ class TestLifecycle:
             return sorted((t.call_id - base, t.finish_time, t.worker)
                           for t in platform.traces)
         assert run() == run()
+
+
+class TestInFlightCalls:
+    def test_peak_bounds_on_a_short_dayrun(self):
+        from repro.scenarios import build_dayrun
+        run = build_dayrun(horizon_s=200.0, n_functions=12, n_regions=3,
+                           total_rate=4.0)
+        platform = run.platform
+        in_flight_at_end = platform.submitted_count - len(platform.traces)
+        assert platform.arena.live == in_flight_at_end
+        assert in_flight_at_end <= len(platform.arena)
+        assert len(platform.arena) <= platform.submitted_count
+
+    def test_submitted_call_readable_after_it_terminalizes(self):
+        from repro.core import CallState
+        sim, platform = make_platform()
+        platform.register_function(FunctionSpec(name="f", profile=profile()))
+        call = platform.submit("f")
+        sim.run_until(30.0)
+        assert platform.arena.live == 0
+        assert len(platform.arena) == 1
+        assert call.state is CallState.COMPLETED
+        assert call.finish_time is not None
+        assert call.worker_name is not None
 
 
 class TestIsolationIntegration:

@@ -78,3 +78,18 @@ class TestTraceDeterminism:
         _, platform_a = _run_mini_dayrun(seed=77)
         _, platform_b = _run_mini_dayrun(seed=78)
         assert _trace_hash(platform_a) != _trace_hash(platform_b)
+
+
+#: The committed quick-mode digest (BENCH_kernel.json, CI profile smoke).
+QUICK_DAYRUN_DIGEST = (
+    "2c89e0e3d857ce0a3974f6e7360089e1cc23a53c6c9c52e4c2c8c8c31387ab5a")
+
+
+class TestQuickDayrunDigestPin:
+    def test_two_runs_in_process_match_pinned_digest(self):
+        # The arrival stream goes through XFaaS.submit_stream; a second
+        # run in the same process must not see state left by the first.
+        from repro.scenarios import build_dayrun
+        for _ in range(2):
+            run = build_dayrun(horizon_s=600.0)
+            assert run.platform.traces.digest() == QUICK_DAYRUN_DIGEST
