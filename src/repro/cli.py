@@ -161,6 +161,7 @@ def _simulate_summary(args: argparse.Namespace, platform: XFaaS,
         "throttled": (metrics.counter("calls.throttled").total
                       if metrics.has_counter("calls.throttled") else 0.0),
         "trace_digest": platform.traces.digest(),
+        "metrics_digest": metrics.digest(),
         "region_utilization": {r: u for r, u in sorted(utils.items())},
         "fleet_util_mean": statistics.mean(fleet) if fleet else 0.0,
         "fleet_util_peak_to_trough": (peak_to_trough(fleet, 0.02)

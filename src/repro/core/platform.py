@@ -490,10 +490,12 @@ class XFaaS:
     def _sample_memory(self) -> None:
         now = self.sim.now
         dist = self.metrics.distribution("worker.memory_mb")
-        # Legitimate: the Fig 10 distribution needs every worker's value,
-        # not an aggregate (interval is minutes, not per-event).
-        for worker in self.all_workers:  # simlint: disable=SL008 -- Fig 10
-            dist.add(worker.memory_in_use_mb)
+        # The Fig 10 distribution needs every worker's value: copy each
+        # region's memory column, which is row-aligned with
+        # workers_by_region[r] (elastic workers included), so samples
+        # land in all_workers order.
+        for workerlb in self.workerlbs.values():
+            dist.extend(workerlb.arrays.mem_mb)
         # One representative per-worker gauge (Fig 10-style series).
         first_region = self.topology.region_names[0]
         workers = self.workers_by_region[first_region]

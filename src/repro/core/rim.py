@@ -7,13 +7,19 @@ the central controllers (Global Traffic Conductor, Utilization
 Controller) and benchmarks.
 
 RIM is the *single consumer* of the workers' rolling utilization
-windows: it samples every worker each interval and publishes per-region
-and fleet-wide utilization, which is exactly the quantity in Figures 7
-and 8.
+windows.  Each interval it publishes per-region and fleet-wide
+utilization, which is exactly the quantity in Figures 7 and 8.  The
+sample costs O(workers that ran since the last one), not O(fleet): it
+takes windows only for the rows in each store's
+:attr:`~repro.core.workerarrays.WorkerArrays.active` set.  Every other
+worker was idle for the whole window, so its window is exactly ``0.0``,
+and leaving ``0.0`` out of a left-to-right float sum changes no bit
+(``x + 0.0 == x``).  The denominator is still every registered worker.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional
 
 from ..metrics.recorder import MetricsRegistry
@@ -37,10 +43,13 @@ class Rim:
         self.sample_interval_s = sample_interval_s
         self._timers = timers
         self._workers_by_region: Dict[str, List[Worker]] = {}
-        #: region -> the distinct SoA stores its workers live in, or None
-        #: when stores and registered workers disagree (stale rows from
-        #: partial registration) and aggregates must fall back to views.
-        self._arrays_by_region: Dict[str, Optional[List[WorkerArrays]]] = {}
+        #: region -> {store: row -> registration position, -1 for rows
+        #: not registered here}.  Dicts keep store registration order.
+        self._positions_by_region: Dict[
+            str, Dict[WorkerArrays, "array[int]"]] = {}
+        #: region -> True while its stores hold registered rows only, so
+        #: free threads can be read from the stores' running totals.
+        self._stores_exact: Dict[str, bool] = {}
         self._capacity_by_region: Dict[str, int] = {}
         self._durableqs_by_region: Dict[str, List[DurableQ]] = {}
         self._schedulers_by_region: Dict[str, Scheduler] = {}
@@ -54,20 +63,29 @@ class Rim:
 
     # ------------------------------------------------------------------
     def register_workers(self, region: str, workers: List[Worker]) -> None:
+        """Add ``workers`` to ``region``.
+
+        RIM records the store row each worker occupies now, so register
+        a pool after its store is final (after ``WorkerLB`` adoption).
+        """
         registered = self._workers_by_region.setdefault(region, [])
-        registered.extend(workers)
+        positions = self._positions_by_region.setdefault(region, {})
         if region not in self._region_gauges:
             self._region_gauges[region] = self.metrics.bind_gauge(
                 f"region.{region}.utilization")
-        # Registration-time (structural) scans so the periodic capacity
-        # and free-thread reads are O(#stores), not O(#workers).
-        stores: List[WorkerArrays] = []
-        for w in registered:
-            if not any(w._arrays is s for s in stores):
-                stores.append(w._arrays)
-        n_rows = sum(len(s) for s in stores)
-        self._arrays_by_region[region] = (
-            stores if n_rows == len(registered) else None)
+        for w in workers:
+            store = w._arrays
+            rows = positions.get(store)
+            if rows is None:
+                rows = positions[store] = array("l")
+            if len(rows) < len(store):
+                rows.extend(array("l", [-1]) * (len(store) - len(rows)))
+            if rows[w._index] != -1:
+                raise ValueError(f"worker {w.name!r} is already registered")
+            rows[w._index] = len(registered)
+            registered.append(w)
+        self._stores_exact[region] = (
+            sum(len(s) for s in positions) == len(registered))
         self._capacity_by_region[region] = sum(
             w.machine.threads for w in registered)
 
@@ -96,19 +114,33 @@ class Rim:
         total_busy_fraction = 0.0
         total_workers = 0
         regions = sorted(self._workers_by_region.items())
-        for region, workers in regions:
-            if not workers:
+        for region, registered in regions:
+            if not registered:
                 continue
-            # Legitimate per-worker pass: taking the rolling utilization
-            # window *mutates* each worker's CpuAccount, so there is no
-            # column aggregate to read instead.
-            utils = [w.take_utilization_window()  # simlint: disable=SL008 -- windows
-                     for w in workers]
-            region_util = sum(utils) / len(utils)
+            ran: List[int] = []
+            for store, rows in self._positions_by_region[region].items():
+                n_rows = len(rows)
+                for row in store.active:
+                    pos = rows[row] if row < n_rows else -1
+                    if pos >= 0:
+                        ran.append(pos)
+                store.window_start = now
+            # Registration order and an explicit left-to-right sum:
+            # bit-identical to summing every worker's window in order.
+            ran.sort()
+            region_busy = 0.0
+            for pos in ran:
+                w = registered[pos]
+                cpu = w.cpu
+                region_busy += cpu.take_window(now)
+                if cpu.load == 0.0:
+                    # Exact zero only: a float residue keeps accruing.
+                    w._arrays.active.discard(w._index)
+            region_util = region_busy / len(registered)
             self._region_util[region] = region_util
             self._region_gauges[region].set(now, region_util)
-            total_busy_fraction += sum(utils)
-            total_workers += len(utils)
+            total_busy_fraction += region_busy
+            total_workers += len(registered)
         if total_workers:
             self._fleet_util = total_busy_fraction / total_workers
             self._fleet_gauge.set(now, self._fleet_util)
@@ -138,10 +170,9 @@ class Rim:
     def region_free_threads(self, region: str) -> int:
         # Admission caps running <= threads per worker, so capacity minus
         # the stores' O(1) running totals equals the old per-worker sum.
-        stores = self._arrays_by_region.get(region)
-        if stores is not None:
+        if self._stores_exact.get(region, True):
             running = 0
-            for s in stores:
+            for s in self._positions_by_region.get(region, ()):
                 running += s.total_running
             return self._capacity_by_region.get(region, 0) - running
         workers = self._workers_by_region.get(region, ())

@@ -217,8 +217,9 @@ class Worker:
 
     @property
     def memory_in_use_mb(self) -> float:
-        return (self.params.runtime_baseline_mb + self._resident_mb +
-                self._live_memory_mb)
+        # The column is recomputed on every mutation, so the view and
+        # the Fig 10 sampler (which reads the column) share one source.
+        return self._arrays.mem_mb[self._index]
 
     @property
     def cpu_load(self) -> float:
@@ -388,6 +389,14 @@ class Worker:
         arr.mem_mb[i] = (self._baseline_mb + self._resident_mb +
                          self._live_memory_mb)
         arr.total_running += 1
+        active = arr.active
+        if i not in active:
+            # The row was idle since before the store's last RIM window:
+            # RIM skipped it, so bring its window start up to date.
+            active.add(i)
+            cpu = self.cpu
+            if cpu._window_start < arr.window_start:
+                cpu._window_start = arr.window_start
         return True
 
     def _complete(self, call_id: int) -> None:

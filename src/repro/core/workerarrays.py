@@ -38,12 +38,24 @@ Aggregates
 fleet-level demand signals (RIM free threads) never need an O(n) scan
 over worker objects inside a sim-clock handler — the anti-pattern
 simlint rule SL008 flags.
+
+Active rows
+-----------
+``active`` holds the rows whose :class:`~repro.cluster.machine.CpuAccount`
+may be non-idle since the last RIM utilization window, which started at
+``window_start``.  ``Worker.execute`` is the only place CPU load rises,
+and it adds its row.  Every other row has ``load == 0.0`` and an empty
+window, so its utilization window is exactly ``0.0`` and RIM skips it.
+Only its ``_window_start`` goes stale, and ``Worker.execute`` lifts that
+to ``window_start`` when the row rejoins the set.  Rows that join the
+store mid-run (elastic pools, adoption) start in the set, because
+their window start is their own and not the store's.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Set
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (worker views)
     from .worker import Worker
@@ -59,7 +71,8 @@ class WorkerArrays:
     """
 
     __slots__ = ("workers", "running", "cpu_load", "mem_mb", "threads",
-                 "cores", "memory_mb", "online", "group", "total_running")
+                 "cores", "memory_mb", "online", "group", "total_running",
+                 "active", "window_start")
 
     def __init__(self) -> None:
         #: index -> Worker view, aligned with every column.
@@ -74,6 +87,10 @@ class WorkerArrays:
         self.group = array("l")
         #: Sum of ``running`` over all rows, maintained incrementally.
         self.total_running = 0
+        #: Rows that may have accrued CPU time since ``window_start``.
+        self.active: Set[int] = set()
+        #: Start of the current RIM utilization window (set by RIM).
+        self.window_start = 0.0
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -83,6 +100,10 @@ class WorkerArrays:
             memory_mb: float, mem0_mb: float) -> int:
         """Append a row for ``worker``; returns its permanent index."""
         idx = len(self.workers)
+        if self.window_start > 0.0:
+            # A fresh account's window starts at 0.0, not at the
+            # store's last sample: RIM must take its first window.
+            self.active.add(idx)
         self.workers.append(worker)
         self.running.append(0)
         self.cpu_load.append(0.0)
@@ -106,6 +127,7 @@ class WorkerArrays:
             return worker._index
         i = worker._index
         idx = len(self.workers)
+        self.active.add(idx)
         self.workers.append(worker)
         self.running.append(old.running[i])
         self.cpu_load.append(old.cpu_load[i])

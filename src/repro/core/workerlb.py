@@ -233,43 +233,6 @@ class WorkerLB:
             pool = all_idx
             spilled = True
 
-    def _two_choices_order(self, candidates: List[Worker]) -> List[Worker]:
-        """Power-of-two choice, then a few extra probes as fallback.
-
-        ``random.choice`` is replicated inline (``seq[_randbelow(n)]``
-        with the same getrandbits rejection loop) — the two wrapper
-        frames it costs per draw dominate this method's runtime, and
-        the stream must advance identically for digest stability.
-        """
-        n = len(candidates)
-        if n == 1:
-            return list(candidates)
-        getrandbits = self._getrandbits
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        a = candidates[r]
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        b = candidates[r]
-        while b is a:
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            b = candidates[r]
-        first, second = (a, b) if a.load_score() <= b.load_score() else (b, a)
-        order = [first, second]
-        for _ in range(self.extra_probes):
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            extra = candidates[r]
-            if extra not in order:
-                order.append(extra)
-        return order
-
     # ------------------------------------------------------------------
     def pool_load(self) -> float:
         """Mean load score across the pool (RIM/GTC input).

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .percentile import P2Sketch
@@ -113,6 +115,24 @@ class MetricsRegistry:
             "sketches": {n: s.snapshot()
                          for n, s in sorted(self._sketches.items())},
         }
+
+    def digest(self) -> str:
+        """SHA-256 over a canonical encoding of :meth:`snapshot`.
+
+        The metrics counterpart of ``TraceLog.digest``: the trace digest
+        covers call lifecycles only, so controller and sampler output
+        (utilization gauges, the Fig 10 memory distribution) needs its
+        own.  The encoding is JSON with sorted keys and ``repr`` floats,
+        so equal digests mean bit-equal values.  A distribution is a
+        multiset that percentile queries sort in place, so its samples
+        are hashed in sorted order: reading a percentile never changes
+        the digest.
+        """
+        snap = self.snapshot()
+        for dist in snap["distributions"].values():
+            dist["samples"].sort()
+        encoded = json.dumps(snap, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(encoded.encode()).hexdigest()
 
     @classmethod
     def from_snapshot(cls, snap: Dict[str, Any]) -> "MetricsRegistry":

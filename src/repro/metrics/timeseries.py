@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 class Counter:
@@ -268,9 +268,13 @@ class Distribution:
             self._sorted = False
         samples.append(value)
 
-    def extend(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.add(v)
+    def extend(self, values: Iterable[float]) -> None:
+        """Append ``values`` in order (one C-level ``array.extend``)."""
+        samples = self._samples
+        n = len(samples)
+        samples.extend(values)
+        if len(samples) != n:
+            self._sorted = False
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:

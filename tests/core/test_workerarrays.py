@@ -43,6 +43,12 @@ def make_worker(sim, arrays=None, name="w0", threads=8, cores=4,
                   arrays=arrays)
 
 
+def cold_memory(w):
+    """Memory recomputed from the view's cold state, as the column must be."""
+    return (w.params.runtime_baseline_mb + w._resident_mb +
+            w._live_memory_mb)
+
+
 def view_score(arr, i):
     """The dispatch loop's inlined load score, recomputed from columns."""
     s = arr.running[i] / arr.threads[i]
@@ -116,11 +122,11 @@ class TestColumnViewConsistency:
         w = make_worker(sim, arrays=store)
         i = w._index
         w.execute(make_call(sim, mem=512.0))
-        assert store.mem_mb[i] == w.memory_in_use_mb
+        assert store.mem_mb[i] == w.memory_in_use_mb == cold_memory(w)
         sim.run_until(10.0)
         # Resident set (code cache) persists after the call finishes and
         # both sides see it.
-        assert store.mem_mb[i] == w.memory_in_use_mb
+        assert store.mem_mb[i] == w.memory_in_use_mb == cold_memory(w)
 
     def test_load_score_matches_inlined_column_score(self):
         sim = Simulator()
@@ -203,6 +209,6 @@ class TestFailRecover:
         w.fail()
         w.recover()
         assert w.online and store.online[i] == 1
-        assert store.mem_mb[i] == w.memory_in_use_mb
+        assert store.mem_mb[i] == w.memory_in_use_mb == cold_memory(w)
         # Recovered worker admits again through the same columns.
         assert w.can_admit(make_call(sim, name="after"))

@@ -292,3 +292,32 @@ class TestRegistryMerge:
         a = self.build()
         a.merge(self.build(offset=50.0).snapshot())
         assert a.counter("calls.received").total == 6.0
+
+
+class TestRegistryDigest:
+    def build(self, latency=1.0):
+        reg = MetricsRegistry()
+        reg.counter("calls.received").add(10.0, 3.0)
+        reg.gauge("util", 0.5).set(20.0, 0.7)
+        reg.distribution("latency").extend([3.0, latency, 2.0])
+        reg.sketch("cost").add(2.0)
+        return reg
+
+    def test_equal_registries_equal_digest(self):
+        assert self.build().digest() == self.build().digest()
+        assert len(self.build().digest()) == 64
+
+    def test_one_ulp_changes_digest(self):
+        nudged = math.nextafter(1.0, 2.0)
+        assert self.build().digest() != self.build(latency=nudged).digest()
+
+    def test_percentile_query_leaves_digest_unchanged(self):
+        reg = self.build()
+        before = reg.digest()
+        reg.distribution("latency").percentile(50)  # sorts in place
+        assert reg.digest() == before
+
+    def test_snapshot_roundtrip_keeps_digest(self):
+        reg = self.build()
+        restored = MetricsRegistry.from_snapshot(reg.snapshot())
+        assert restored.digest() == reg.digest()

@@ -127,6 +127,22 @@ class TestDistribution:
         d.extend(range(10))
         assert d.fraction_below(5) == pytest.approx(0.5)
 
+    def test_extend_appends_in_order_and_marks_unsorted(self):
+        from array import array
+        d = Distribution("d")
+        d.add(1.0)
+        d.extend(array("d", [3.0, 2.0]))
+        assert d.snapshot()["samples"] == [1.0, 3.0, 2.0]
+        assert d.percentile(100) == 3.0
+        assert d.min() == 1.0
+
+    def test_extend_with_nothing_keeps_sorted_flag(self):
+        d = Distribution("d")
+        d.extend([1.0, 2.0])
+        d.percentile(50)
+        d.extend([])
+        assert d._sorted
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=200),
            st.floats(min_value=0, max_value=100))

@@ -115,6 +115,7 @@ class TestCommands:
         assert summary["submitted"] > 0
         assert summary["completed"] > 0
         assert len(summary["trace_digest"]) == 64
+        assert len(summary["metrics_digest"]) == 64
         assert len(summary["region_utilization"]) == 3
         assert set(summary["latency_s"]) == {"p50", "p95", "p99"}
 

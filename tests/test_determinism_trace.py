@@ -85,6 +85,15 @@ QUICK_DAYRUN_DIGEST = (
     "2c89e0e3d857ce0a3974f6e7360089e1cc23a53c6c9c52e4c2c8c8c31387ab5a")
 
 
+#: ``MetricsRegistry.digest`` of the quick dayrun and of a 1k-worker
+#: fleetrun, pinned at the values of the per-worker RIM and Fig 10
+#: samplers, before both became proportional to activity.
+QUICK_DAYRUN_METRICS_DIGEST = (
+    "e98a499372257634da9b9ca0a08eaf6af2900fe259a73d442debea2e17ed2f92")
+FLEETRUN_1K_METRICS_DIGEST = (
+    "5f6b69a33fb43cb1f87b8e8e8ee546502260dd3da1093e95577ead8200900017")
+
+
 class TestQuickDayrunDigestPin:
     def test_two_runs_in_process_match_pinned_digest(self):
         # The arrival stream goes through XFaaS.submit_stream; a second
@@ -93,3 +102,16 @@ class TestQuickDayrunDigestPin:
         for _ in range(2):
             run = build_dayrun(horizon_s=600.0)
             assert run.platform.traces.digest() == QUICK_DAYRUN_DIGEST
+            metrics = run.platform.metrics
+            assert metrics.digest() == QUICK_DAYRUN_METRICS_DIGEST
+            # Reading a percentile sorts samples in place; the digest
+            # must not notice.
+            metrics.distribution("worker.memory_mb").percentile(50)
+            assert metrics.digest() == QUICK_DAYRUN_METRICS_DIGEST
+
+
+class TestFleetrunMetricsDigestPin:
+    def test_1k_fleetrun_matches_pinned_metrics_digest(self):
+        from repro.scenarios import build_fleetrun
+        run = build_fleetrun(1000)
+        assert run.platform.metrics.digest() == FLEETRUN_1K_METRICS_DIGEST
