@@ -7,8 +7,8 @@ the builder has to be importable library code — ``benchmarks/conftest``
 now re-exports from here.
 
 :func:`build_dayrun` keeps bit-identical default behavior (same
-construction order, same RNG draws) so trace digests recorded in
-``BENCH_kernel.json`` remain comparable across the move, while gaining
+construction order, same RNG draws) so pinned trace digests remain
+comparable across the move, while gaining
 the knobs a sweep grid varies: seed, horizon, rate, population size,
 region count, and §1.2 ablation flags applied on top of the default
 parameters.
@@ -165,8 +165,8 @@ def build_fleetrun(n_workers: int, seed: int = 7,
     ``n_workers`` sets the fleet size directly — flat capacity profile,
     ``n_workers // n_regions`` workers per region.  Because per-event
     work is fleet-size-independent after the struct-of-arrays refactor,
-    events/sec across rungs of ``n_workers`` measures exactly the
-    fleet-scaling property (``benchmarks/bench_scale.py``).
+    throughput across values of ``n_workers`` measures exactly the
+    fleet-scaling property (xbench's ``fleet-100k`` workload).
 
     ``run_sim=False`` returns before ``sim.run_until`` so a benchmark
     can time fleet construction and event processing separately — the

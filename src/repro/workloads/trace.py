@@ -127,10 +127,11 @@ class TraceLog:
     def digest(self) -> str:
         """SHA-256 over every call's lifecycle tuple, in arrival order.
 
-        Bit-identical digests mean behaviorally identical runs; the speed
-        and sweep benchmarks compare them across optimizations and across
-        process boundaries.  The field tuple matches the historical
-        ``bench_speed.trace_digest`` so committed baselines stay valid.
+        Bit-identical digests mean behaviorally identical runs; xbench
+        and the sweep benchmark compare them across optimizations and
+        across process boundaries.  Changing the field tuple would
+        invalidate every digest pinned in the tests and in
+        ``benchmarks/xbench/run.py``.
         """
         self._materialize()
         h = hashlib.sha256()

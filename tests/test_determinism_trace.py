@@ -80,7 +80,8 @@ class TestTraceDeterminism:
         assert _trace_hash(platform_a) != _trace_hash(platform_b)
 
 
-#: The committed quick-mode digest (BENCH_kernel.json, CI profile smoke).
+#: Trace digest of the quick dayrun (``build_dayrun(horizon_s=600)``);
+#: the CI profile smokes pass it to ``--expect-digest``.
 QUICK_DAYRUN_DIGEST = (
     "2c89e0e3d857ce0a3974f6e7360089e1cc23a53c6c9c52e4c2c8c8c31387ab5a")
 
@@ -96,11 +97,20 @@ FLEETRUN_1K_METRICS_DIGEST = (
 
 class TestQuickDayrunDigestPin:
     def test_two_runs_in_process_match_pinned_digest(self):
+        self._check_pins(sanitize=False)
+
+    def test_sanitized_runs_match_pinned_digest(self):
+        # simsan observes but never consumes: with every check armed the
+        # run must hit the plain run's pins.
+        self._check_pins(sanitize=True)
+
+    @staticmethod
+    def _check_pins(sanitize: bool):
         # The arrival stream goes through XFaaS.submit_stream; a second
         # run in the same process must not see state left by the first.
         from repro.scenarios import build_dayrun
         for _ in range(2):
-            run = build_dayrun(horizon_s=600.0)
+            run = build_dayrun(horizon_s=600.0, sanitize=sanitize)
             assert run.platform.traces.digest() == QUICK_DAYRUN_DIGEST
             metrics = run.platform.metrics
             assert metrics.digest() == QUICK_DAYRUN_METRICS_DIGEST
