@@ -96,7 +96,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(_simulate_summary(args, platform, sim,
                                            utils, fleet), indent=1))
-        return 0
+        return _digest_gate(args, platform, "run")
 
     print()
     print(series_block("received per minute", received))
@@ -126,13 +126,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"{statistics.mean(fleet):.3f}, "
               f"peak-to-trough {peak_to_trough(fleet, 0.02):.2f}x "
               "(paper: 66% mean, 1.4x)")
-    if args.expect_digest:
-        digest = platform.traces.digest()
-        if digest != args.expect_digest:
-            print(f"DIGEST MISMATCH: run produced {digest}, expected "
-                  f"{args.expect_digest}", file=sys.stderr)
-            return 1
-    return 0
+    return _digest_gate(args, platform, "run")
+
+
+def _digest_gate(args: argparse.Namespace, platform: XFaaS, run: str,
+                 cause: str = "") -> int:
+    """Exit status of ``--expect-digest`` / ``--expect-metrics-digest``.
+
+    1 when the run's trace or metrics digest differs from the expected
+    one, with a message on stderr naming ``run`` and ``cause``.
+    """
+    status = 0
+    for kind, expected, digest in (
+            ("trace", args.expect_digest, platform.traces.digest),
+            ("metrics", args.expect_metrics_digest, platform.metrics.digest)):
+        if expected:
+            got = digest()
+            if got != expected:
+                print(f"DIGEST MISMATCH ({kind}): {run} produced {got}, "
+                      f"expected {expected}{cause}", file=sys.stderr)
+                status = 1
+    return status
 
 
 def _simulate_summary(args: argparse.Namespace, platform: XFaaS,
@@ -192,8 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{args.runs} seed(s), {args.hours} h each) on "
               f"{args.workers} worker(s) ...", flush=True)
     results = run_sweep(specs, workers=args.workers,
-                        mp_context=args.start_method,
-                        chunksize=args.chunksize)
+                        mp_context=args.start_method)
     report = sweep_report(results)
 
     if args.json:
@@ -256,6 +269,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         run = build_dayrun(seed=args.seed, horizon_s=horizon_s,
                            profiler=recorder)
     digest = run.platform.traces.digest()
+    metrics_digest = run.platform.metrics.digest()
 
     if args.flamegraph:
         folded = recorder.collapsed()
@@ -273,6 +287,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "horizon_s": horizon_s, "seed": args.seed,
             "events_executed": run.sim.events_executed,
             "trace_digest": digest,
+            "metrics_digest": metrics_digest,
             "profile": recorder.to_json(),
         }, indent=1))
     else:
@@ -280,13 +295,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(recorder.table(top=args.top))
         print()
         print(f"events executed: {run.sim.events_executed}, "
-              f"trace digest {digest[:12]}...")
-    if args.expect_digest and digest != args.expect_digest:
-        print(f"DIGEST MISMATCH: profiled run produced {digest}, "
-              f"expected {args.expect_digest} — profiling changed "
-              "simulation behavior", file=sys.stderr)
-        return 1
-    return 0
+              f"trace digest {digest[:12]}..., "
+              f"metrics digest {metrics_digest[:12]}...")
+    return _digest_gate(args, run.platform, "profiled run",
+                        " — profiling changed simulation behavior")
 
 
 def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
@@ -302,6 +314,7 @@ def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
     with recorder.capturing():
         run = build_dayrun(seed=args.seed, horizon_s=horizon_s)
     digest = run.platform.traces.digest()
+    metrics_digest = run.platform.metrics.digest()
     calls = {
         "submitted": run.platform.submitted_count,
         "peak_in_flight": len(run.platform.arena),
@@ -312,6 +325,7 @@ def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
             "horizon_s": horizon_s, "seed": args.seed,
             "events_executed": run.sim.events_executed,
             "trace_digest": digest,
+            "metrics_digest": metrics_digest,
             "alloc": recorder.to_json(top=args.top),
             "calls": calls,
         }, indent=1))
@@ -323,13 +337,10 @@ def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
               f"{calls['peak_in_flight']} peak in flight, "
               f"{calls['in_flight_at_end']} in flight at end")
         print(f"events executed: {run.sim.events_executed}, "
-              f"trace digest {digest[:12]}...")
-    if args.expect_digest and digest != args.expect_digest:
-        print(f"DIGEST MISMATCH: traced run produced {digest}, "
-              f"expected {args.expect_digest} — allocation tracing "
-              "changed simulation behavior", file=sys.stderr)
-        return 1
-    return 0
+              f"trace digest {digest[:12]}..., "
+              f"metrics digest {metrics_digest[:12]}...")
+    return _digest_gate(args, run.platform, "traced run",
+                        " — allocation tracing changed simulation behavior")
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> int:
@@ -424,6 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--expect-digest", metavar="SHA256",
                        help="fail unless the run's trace digest matches "
                             "(CI parity check)")
+    sim_p.add_argument("--expect-metrics-digest", metavar="SHA256",
+                       help="fail unless the run's metrics digest matches")
     sim_p.add_argument("--json", action="store_true",
                        help="emit the run summary as machine-readable JSON")
     sim_p.set_defaults(func=_cmd_simulate)
@@ -449,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (1 = serial, in-process)")
     sweep_p.add_argument("--start-method", default="spawn",
                          choices=("spawn", "fork", "forkserver"))
-    sweep_p.add_argument("--chunksize", type=int, default=None,
-                         help="specs dispatched per pool task (default 1)")
     sweep_p.add_argument("--json", action="store_true",
                          help="emit the full sweep report as JSON")
     sweep_p.set_defaults(func=_cmd_sweep)
@@ -478,6 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--expect-digest", metavar="SHA256",
                         help="fail unless the profiled run's trace digest "
                              "matches (CI parity check)")
+    prof_p.add_argument("--expect-metrics-digest", metavar="SHA256",
+                        help="fail unless the profiled run's metrics "
+                             "digest matches")
     prof_p.set_defaults(func=_cmd_profile)
 
     # NOTE: the `lint` subcommand is dispatched in main() before this

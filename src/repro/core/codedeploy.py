@@ -18,7 +18,7 @@ Workers adopt a new bundle in three phases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..sim.kernel import Simulator
 from ..sim.sampler import SamplerHub
@@ -59,6 +59,9 @@ class CodeDeployer:
     The deployer is generic over workers: it needs each worker to expose
     ``adopt_version(version, now, with_profile_data)`` and a
     ``locality_group`` attribute (seeder data is distributed per group).
+    Workers register one by one or as a block, such as a store's
+    lazily built views; a push takes every registered worker, so it
+    builds every view.
     """
 
     def __init__(self, sim: Simulator, params: RolloutParams = RolloutParams(),
@@ -70,13 +73,18 @@ class CodeDeployer:
         self.params = params
         self.jit_params = jit_params
         self.cooperative_jit = cooperative_jit
-        self._workers: List = []
+        #: Registered worker blocks, in registration order.
+        self._blocks: List[Sequence] = []
         self.current_version = CodeVersion(version=1, released_at=0.0)
         self.rollouts_completed = 0
         self._task = None
 
     def register_worker(self, worker) -> None:
-        self._workers.append(worker)
+        self._blocks.append((worker,))
+
+    def register_workers(self, workers: Sequence) -> None:
+        """Register a block of workers, read only when a push starts."""
+        self._blocks.append(workers)
 
     def start(self) -> None:
         """Begin periodic pushes (first push after one interval)."""
@@ -100,7 +108,7 @@ class CodeDeployer:
                               released_at=now)
         self.current_version = version
         rng = self.sim.rng.stream("codedeploy")
-        workers = list(self._workers)
+        workers = [w for block in self._blocks for w in block]
         if not workers:
             return
         rng.shuffle(workers)

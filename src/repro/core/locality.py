@@ -19,14 +19,16 @@ cached copy.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from ..sim.sampler import SamplerHub
 from ..workloads.spec import FunctionSpec
 from .config import ConfigStore
 from .worker import Worker
+from .workerarrays import WorkerArrays
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,10 @@ class LocalityOptimizer:
         self.enabled = enabled
         self.namespace = namespace
         self._specs: Dict[str, FunctionSpec] = {}
-        self._workers: List[Worker] = []
+        #: Registered workers as (store, rows) blocks, in registration
+        #: order; rebalancing reads their columns, never their views.
+        self._blocks: List[Tuple[WorkerArrays, range]] = []
+        self._n_workers = 0
         self._assignment: Dict[str, int] = {}
         self._rr_counter = 0
         self.reassign_count = 0
@@ -91,10 +96,24 @@ class LocalityOptimizer:
         self._assignment[spec.name] = self._assign_one(spec)
 
     def register_worker(self, worker: Worker) -> None:
-        self._workers.append(worker)
-        # Spread workers over groups round-robin at registration.
-        worker.locality_group = (len(self._workers) - 1) % self.n_groups
-        self.group_epoch += 1
+        """Register one worker; do it after its store is final."""
+        self.register_rows(worker._arrays,
+                           range(worker._index, worker._index + 1))
+
+    def register_rows(self, store: WorkerArrays, rows: range) -> None:
+        """Register the workers of ``store``'s ``rows`` (a step-1 range).
+
+        Workers are spread over groups round-robin in registration
+        order, and each one bumps the group epoch.
+        """
+        n = self.n_groups
+        base = self._n_workers
+        cycle = array("l", [(base + k) % n for k in range(n)])
+        store.group[rows.start:rows.stop] = (
+            cycle * -(-len(rows) // n))[:len(rows)]
+        self._blocks.append((store, rows))
+        self._n_workers += len(rows)
+        self.group_epoch += len(rows)
 
     def group_of(self, function_name: str) -> int:
         if not self.enabled:
@@ -176,17 +195,24 @@ class LocalityOptimizer:
     # when one group's call mix surges)
     # ------------------------------------------------------------------
     def rebalance_workers(self) -> None:
-        if not self.enabled or not self._workers:
+        if not self.enabled or not self._n_workers:
             return
-        groups: Dict[int, List[Worker]] = {}
-        # Legitimate: rebalancing runs every ~10 min and needs each
+        n = self.n_groups
+        # Each worker's load score, read from its columns in
+        # registration order, and each group's members as registration
+        # positions.  Rebalancing runs every ~10 min and needs every
         # worker's group + load pair to pick a mover.
-        for w in self._workers:  # simlint: disable=SL008 -- rebalance
-            groups.setdefault(w.locality_group % self.n_groups, []).append(w)
+        scores: List[float] = []
+        groups: Dict[int, List[int]] = {}
+        for store, rows in self._blocks:
+            load_score, group = store.load_score, store.group
+            for i in rows:
+                groups.setdefault(group[i] % n, []).append(len(scores))
+                scores.append(load_score(i))
         loads = {}
-        for g in range(self.n_groups):
+        for g in range(n):
             members = groups.get(g, [])
-            loads[g] = (sum(w.load_score() for w in members) / len(members)
+            loads[g] = (sum(scores[p] for p in members) / len(members)
                         if members else 0.0)
         hottest = max(loads, key=lambda g: loads[g])
         coldest = min(loads, key=lambda g: loads[g])
@@ -196,8 +222,13 @@ class LocalityOptimizer:
             ratio = loads[hottest] / loads[coldest]
         donors = groups.get(coldest, [])
         if ratio >= self.params.rebalance_ratio and len(donors) > 1:
-            # Move the least-loaded worker of the cold group to the hot one.
-            mover = min(donors, key=lambda w: w.load_score())
-            mover.locality_group = hottest
+            # Move the least-loaded worker of the cold group (the first
+            # one, on ties) to the hot one.
+            mover = min(donors, key=scores.__getitem__)
+            for store, rows in self._blocks:
+                if mover < len(rows):
+                    store.group[rows[mover]] = hottest
+                    break
+                mover -= len(rows)
             self.worker_moves += 1
             self.group_epoch += 1

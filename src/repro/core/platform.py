@@ -20,6 +20,7 @@ dispatch, locality groups, cooperative JIT, AIMD back-pressure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..cluster.topology import Topology
@@ -48,7 +49,7 @@ from .scheduler import S_MULTIPLIER_KEY, Scheduler, SchedulerParams
 from .submitter import Submitter, SubmitterFrontend, SubmitterParams
 from .utilization import UtilizationController, UtilizationParams
 from .worker import Worker, WorkerParams
-from .workerarrays import WorkerArrays
+from .workerarrays import WorkerArrays, WorkerViews
 from .workerlb import WorkerLB
 
 
@@ -197,7 +198,9 @@ class XFaaS:
                 regions, shards, locality_bias=params.queuelb_locality_bias))
 
         # --- Per-region pipeline --------------------------------------
-        self.workers_by_region: Dict[str, List[Worker]] = \
+        #: region -> its workers (every row of the region's store,
+        #: elastic workers included), each view built on first access.
+        self.workers_by_region: Dict[str, WorkerViews] = \
             region_map(sanitizer, "workers_by_region")
         self.workerlbs: Dict[str, WorkerLB] = \
             region_map(sanitizer, "workerlbs")
@@ -212,25 +215,22 @@ class XFaaS:
             n_workers = topology.region(r).workers_for(ns)
             machine = topology.region(r).machine_spec
             # One SoA store per region: every worker's hot scalars live
-            # in its columns; admission and dispatch index into it.
-            arrays = WorkerArrays()
-            workers = []
-            for w in range(n_workers):
-                worker = Worker(
-                    sim, name=f"{r}/{ns}/w{w:03d}", region=r, namespace=ns,
-                    machine=machine, params=params.worker,
-                    jit_params=params.jit,
-                    downstream_gateway=self._invoke_downstream,
-                    arrays=arrays)
-                self.locality_optimizer.register_worker(worker)
-                self.deployer.register_worker(worker)
-                workers.append(worker)
-            self.workers_by_region[r] = workers
-            self.rim.register_workers(r, workers)
+            # in its columns; admission and dispatch index into it.  The
+            # workers start as cold rows (mem is Worker.__init__'s fresh
+            # baseline + 0.0 + 0.0); _worker_view builds a view on first
+            # access.
+            arrays = WorkerArrays(make_view=partial(self._worker_view, r))
+            rows = arrays.add_rows(
+                n_workers, machine.threads, machine.cores, machine.memory_mb,
+                params.worker.runtime_baseline_mb + 0.0 + 0.0)
+            self.locality_optimizer.register_rows(arrays, rows)
+            self.deployer.register_workers(WorkerViews(arrays, rows))
+            self.workers_by_region[r] = arrays.workers
+            self.rim.register_rows(r, arrays, rows)
             self.rim.register_durableqs(r, self.durableqs_by_region[r])
 
             workerlb = WorkerLB(
-                sim, r, workers,
+                sim, r, arrays,
                 group_of_function=self.locality_optimizer.group_of,
                 n_groups_fn=lambda: self.locality_optimizer.n_groups,
                 group_epoch_fn=lambda: self.locality_optimizer.group_epoch)
@@ -243,8 +243,6 @@ class XFaaS:
                 timers=self.sampler_hub)
             self.schedulers[r] = scheduler
             self.rim.register_scheduler(r, scheduler)
-            for worker in workers:
-                worker.on_finish = scheduler.on_call_finished
 
             queuelb = QueueLB(sim, r, self.durableqs_by_region, self.config)
             self.queuelbs[r] = queuelb
@@ -329,8 +327,9 @@ class XFaaS:
                            params=self.params.worker,
                            on_finish=scheduler.on_call_finished,
                            timers=self.sampler_hub, **kwargs)
+        # Adoption appends the pool's rows to the region's store, so
+        # workers_by_region[region] gains them too.
         self.workerlbs[region].add_workers(pool.workers)
-        self.workers_by_region[region].extend(pool.workers)
         self.rim.register_workers(region, pool.workers)
         for worker in pool.workers:
             self.locality_optimizer.register_worker(worker)
@@ -413,6 +412,23 @@ class XFaaS:
     # ------------------------------------------------------------------
     # Wiring callbacks
     # ------------------------------------------------------------------
+    def _worker_view(self, region: str, store: WorkerArrays,
+                     row: int) -> Worker:
+        """Build the view of platform worker ``row`` of ``region``.
+
+        A fresh view holds no time-dependent state, so building it at
+        its first access equals building it at time 0 and never
+        touching it.
+        """
+        ns = self.params.namespace
+        return Worker(
+            self.sim, name=f"{region}/{ns}/w{row:03d}", region=region,
+            namespace=ns, machine=self.topology.region(region).machine_spec,
+            params=self.params.worker, jit_params=self.params.jit,
+            on_finish=self.schedulers[region].on_call_finished,
+            downstream_gateway=self._invoke_downstream,
+            arrays=store, index=row)
+
     def _pick_client_region(self) -> str:
         chooser = self._client_region_chooser
         if chooser is None:
@@ -480,12 +496,14 @@ class XFaaS:
     # ------------------------------------------------------------------
     def _sample_distinct_functions(self) -> None:
         dist = self.metrics.distribution("worker.distinct_functions_per_window")
-        # Legitimate: draining each worker's distinct-function window
-        # mutates the view; no column aggregate can replace it.
-        for worker in self.all_workers:  # simlint: disable=SL008 -- windows
-            count = worker.take_distinct_functions_window()
-            if worker.calls_started > 0:
-                dist.add(count)
+        # Draining a distinct-function window mutates the view, so visit
+        # views, in all_workers order.  A row whose view was never built
+        # has calls_started == 0 and an empty window: it adds no sample.
+        for workerlb in self.workerlbs.values():
+            for worker in workerlb.arrays.built_views():
+                count = worker.take_distinct_functions_window()
+                if worker.calls_started > 0:
+                    dist.add(count)
 
     def _sample_memory(self) -> None:
         now = self.sim.now
@@ -496,9 +514,8 @@ class XFaaS:
         # land in all_workers order.
         for workerlb in self.workerlbs.values():
             dist.extend(workerlb.arrays.mem_mb)
-        # One representative per-worker gauge (Fig 10-style series).
+        # One representative per-worker gauge (Fig 10-style series): the
+        # first region's first worker, read from its column.
         first_region = self.topology.region_names[0]
-        workers = self.workers_by_region[first_region]
-        if workers:
-            mem = workers[0].memory_in_use_mb
-            self.metrics.gauge("worker.sample.memory_mb").set(now, mem)
+        mem = self.workerlbs[first_region].arrays.mem_mb[0]
+        self.metrics.gauge("worker.sample.memory_mb").set(now, mem)

@@ -15,12 +15,15 @@ takes windows only for the rows in each store's
 worker was idle for the whole window, so its window is exactly ``0.0``,
 and leaving ``0.0`` out of a left-to-right float sum changes no bit
 (``x + 0.0 == x``).  The denominator is still every registered worker.
+
+Workers are registered as store rows, so a platform registers each
+region's fleet as one range and RIM never builds a cold row's view.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..metrics.recorder import MetricsRegistry
 from ..metrics.timeseries import Gauge
@@ -42,7 +45,8 @@ class Rim:
         self.metrics = metrics
         self.sample_interval_s = sample_interval_s
         self._timers = timers
-        self._workers_by_region: Dict[str, List[Worker]] = {}
+        #: region -> number of registered workers.
+        self._count_by_region: Dict[str, int] = {}
         #: region -> {store: row -> registration position, -1 for rows
         #: not registered here}.  Dicts keep store registration order.
         self._positions_by_region: Dict[
@@ -63,31 +67,39 @@ class Rim:
 
     # ------------------------------------------------------------------
     def register_workers(self, region: str, workers: List[Worker]) -> None:
-        """Add ``workers`` to ``region``.
+        """Add ``workers`` to ``region``, in order.
 
         RIM records the store row each worker occupies now, so register
         a pool after its store is final (after ``WorkerLB`` adoption).
         """
-        registered = self._workers_by_region.setdefault(region, [])
+        for w in workers:
+            self.register_rows(region, w._arrays,
+                               range(w._index, w._index + 1))
+
+    def register_rows(self, region: str, store: WorkerArrays,
+                      rows: range) -> None:
+        """Add the workers of ``store``'s ``rows`` (a step-1 range)."""
         positions = self._positions_by_region.setdefault(region, {})
         if region not in self._region_gauges:
             self._region_gauges[region] = self.metrics.bind_gauge(
                 f"region.{region}.utilization")
-        for w in workers:
-            store = w._arrays
-            rows = positions.get(store)
-            if rows is None:
-                rows = positions[store] = array("l")
-            if len(rows) < len(store):
-                rows.extend(array("l", [-1]) * (len(store) - len(rows)))
-            if rows[w._index] != -1:
-                raise ValueError(f"worker {w.name!r} is already registered")
-            rows[w._index] = len(registered)
-            registered.append(w)
-        self._stores_exact[region] = (
-            sum(len(s) for s in positions) == len(registered))
-        self._capacity_by_region[region] = sum(
-            w.machine.threads for w in registered)
+        pos_of = positions.get(store)
+        if pos_of is None:
+            pos_of = positions[store] = array("l")
+        if len(pos_of) < len(store):
+            pos_of.extend(array("l", [-1]) * (len(store) - len(pos_of)))
+        start, stop = rows.start, rows.stop
+        if pos_of[start:stop].count(-1) != len(rows):
+            raise ValueError(f"a row in {start}..{stop - 1} of this store "
+                             f"is already registered in {region!r}")
+        count = self._count_by_region.get(region, 0)
+        pos_of[start:stop] = array("l", range(count, count + len(rows)))
+        count += len(rows)
+        self._count_by_region[region] = count
+        self._stores_exact[region] = sum(len(s) for s in positions) == count
+        self._capacity_by_region[region] = (
+            self._capacity_by_region.get(region, 0)
+            + sum(store.threads[start:stop]))
 
     def register_durableqs(self, region: str, shards: List[DurableQ]) -> None:
         self._durableqs_by_region.setdefault(region, []).extend(shards)
@@ -113,34 +125,33 @@ class Rim:
         now = self.sim.now
         total_busy_fraction = 0.0
         total_workers = 0
-        regions = sorted(self._workers_by_region.items())
-        for region, registered in regions:
+        for region, registered in sorted(self._count_by_region.items()):
             if not registered:
                 continue
-            ran: List[int] = []
-            for store, rows in self._positions_by_region[region].items():
-                n_rows = len(rows)
+            ran: List[Tuple[int, int, WorkerArrays]] = []
+            for store, pos_of in self._positions_by_region[region].items():
+                n_rows = len(pos_of)
                 for row in store.active:
-                    pos = rows[row] if row < n_rows else -1
+                    pos = pos_of[row] if row < n_rows else -1
                     if pos >= 0:
-                        ran.append(pos)
+                        ran.append((pos, row, store))
                 store.window_start = now
-            # Registration order and an explicit left-to-right sum:
-            # bit-identical to summing every worker's window in order.
+            # Registration order (positions are unique) and an explicit
+            # left-to-right sum: bit-identical to summing every worker's
+            # window in order.
             ran.sort()
             region_busy = 0.0
-            for pos in ran:
-                w = registered[pos]
-                cpu = w.cpu
+            for _, row, store in ran:
+                cpu = store.view(row).cpu
                 region_busy += cpu.take_window(now)
                 if cpu.load == 0.0:
                     # Exact zero only: a float residue keeps accruing.
-                    w._arrays.active.discard(w._index)
-            region_util = region_busy / len(registered)
+                    store.active.discard(row)
+            region_util = region_busy / registered
             self._region_util[region] = region_util
             self._region_gauges[region].set(now, region_util)
             total_busy_fraction += region_busy
-            total_workers += len(registered)
+            total_workers += registered
         if total_workers:
             self._fleet_util = total_busy_fraction / total_workers
             self._fleet_gauge.set(now, self._fleet_util)
@@ -170,17 +181,21 @@ class Rim:
     def region_free_threads(self, region: str) -> int:
         # Admission caps running <= threads per worker, so capacity minus
         # the stores' O(1) running totals equals the old per-worker sum.
+        positions = self._positions_by_region.get(region, {})
         if self._stores_exact.get(region, True):
             running = 0
-            for s in self._positions_by_region.get(region, ()):
+            for s in positions:
                 running += s.total_running
             return self._capacity_by_region.get(region, 0) - running
-        workers = self._workers_by_region.get(region, ())
+        # Store mismatch fallback: the registered rows only.
         total = 0
-        for w in workers:  # simlint: disable=SL008 -- store mismatch fallback
-            total += max(0, w.machine.threads - w.running_count)
+        for store, pos_of in positions.items():
+            threads, live = store.threads, store.running
+            for row, pos in enumerate(pos_of):
+                if pos >= 0:
+                    total += max(0, threads[row] - live[row])
         return total
 
     def regions(self) -> List[str]:
-        return sorted(set(self._workers_by_region)
+        return sorted(set(self._count_by_region)
                       | set(self._durableqs_by_region))

@@ -98,7 +98,9 @@ class Worker:
     probes and two-choices draws read flat columns instead of chasing
     this object.  A worker constructed without an explicit store gets a
     private single-row one; pools re-home such workers via
-    :meth:`WorkerArrays.adopt`.
+    :meth:`WorkerArrays.adopt`.  Given ``index``, the worker becomes the
+    view of that existing row of ``arrays`` (a cold row filled by
+    :meth:`WorkerArrays.add_rows`) and leaves its columns as they are.
     """
 
     __slots__ = (
@@ -119,7 +121,8 @@ class Worker:
                  jit_params: JitParams = JitParams(),
                  on_finish: Optional[FinishCallback] = None,
                  downstream_gateway: Optional[DownstreamGateway] = None,
-                 arrays: Optional[WorkerArrays] = None) -> None:
+                 arrays: Optional[WorkerArrays] = None,
+                 index: Optional[int] = None) -> None:
         self.sim = sim
         self.name = name
         self.region = region
@@ -146,9 +149,11 @@ class Worker:
         # baseline + resident + live with the latter two at 0.0.
         store = arrays if arrays is not None else WorkerArrays()
         self._arrays = store
-        self._index = store.add(
-            self, machine.threads, machine.cores, machine.memory_mb,
-            self._baseline_mb + 0.0 + 0.0)
+        if index is None:
+            index = store.add(
+                self, machine.threads, machine.cores, machine.memory_mb,
+                self._baseline_mb + 0.0 + 0.0)
+        self._index = index
         #: function name → its shared resource-sampling stream; avoids
         #: rebuilding the f-string stream name per call (simlint SL007).
         self._resource_streams: Dict[str, RngStream] = {}
@@ -227,14 +232,7 @@ class Worker:
 
     def load_score(self) -> float:
         """Scalar load for load balancing: max of thread/CPU/memory use."""
-        arr = self._arrays
-        i = self._index
-        a = arr.running[i] / arr.threads[i]
-        b = arr.cpu_load[i] / arr.cores[i]
-        c = arr.mem_mb[i] / arr.memory_mb[i]
-        if b > a:
-            a = b
-        return c if c > a else a
+        return self._arrays.load_score(self._index)
 
     # ------------------------------------------------------------------
     # Admission and execution

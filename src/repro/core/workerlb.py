@@ -7,16 +7,17 @@ both refuse (admission control), it probes a bounded number of further
 candidates before reporting failure back to the scheduler.
 
 Since the struct-of-arrays refactor the hot loop never touches a
-``Worker`` object until a probe accepts: locality groups are ``array``
-columns of integer worker indices into the region's
+``Worker`` object until it probes admission: locality groups are
+``array`` columns of integer worker indices into the region's
 :class:`~repro.core.workerarrays.WorkerArrays`, the two-choices draws
-pick indices, and both load-score probes read flat columns.
+pick indices, and both load-score probes read flat columns.  The first
+admission probe of a cold row builds its view.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..sim.kernel import Simulator
 from .call import FunctionCall
@@ -29,31 +30,34 @@ GroupLookup = Callable[[str], int]
 class WorkerLB:
     """Load balancer over one region's worker pool for one namespace.
 
-    Invariant: ``self.arrays.workers == self.workers`` row-for-row (the
-    i-th worker owns store row ``i``).  The constructor establishes it —
-    adopting workers into a fresh store when they arrive with private or
-    foreign stores — and :meth:`add_workers` preserves it.
+    The pool is every row of ``self.arrays``.  Pass the store itself
+    (the platform does, so its cold rows stay rows) or a list of
+    workers: a list that is not exactly one store's rows in order is
+    adopted into a fresh store.  :meth:`add_workers` grows the pool.
     """
 
-    def __init__(self, sim: Simulator, region: str, workers: List[Worker],
+    def __init__(self, sim: Simulator, region: str,
+                 workers: Union[WorkerArrays, Sequence[Worker]],
                  group_of_function: GroupLookup,
                  n_groups_fn: Callable[[], int],
                  extra_probes: int = 2,
                  rng_name: Optional[str] = None,
                  group_epoch_fn: Optional[Callable[[], int]] = None) -> None:
-        if not workers:
+        if not isinstance(workers, WorkerArrays):
+            workers = list(workers)
+            store = workers[0]._arrays if workers else WorkerArrays()
+            if (len(store) != len(workers)
+                    or any(w._arrays is not store or w._index != i
+                           for i, w in enumerate(workers))):
+                store = WorkerArrays()
+                for w in workers:
+                    store.adopt(w)
+            workers = store
+        if not len(workers):
             raise ValueError(f"WorkerLB in {region!r} needs workers")
         self.sim = sim
         self.region = region
-        self.workers = list(workers)
-        store = self.workers[0]._arrays
-        if (len(store.workers) != len(self.workers)
-                or any(w._arrays is not store or w._index != i
-                       for i, w in enumerate(self.workers))):
-            store = WorkerArrays()
-            for w in self.workers:
-                store.adopt(w)
-        self.arrays = store
+        self.arrays = workers
         self.group_of_function = group_of_function
         self.n_groups_fn = n_groups_fn
         self.extra_probes = extra_probes
@@ -71,7 +75,7 @@ class WorkerLB:
         self.group_epoch_fn = group_epoch_fn
         self._groups_cache_key: Optional[object] = None
         self._groups: Dict[int, "array[int]"] = {}
-        self._all_idx: "array[int]" = array("l", range(len(self.workers)))
+        self._all_idx: "array[int]" = array("l", range(len(self.arrays)))
         self._capacity_threads = self.arrays.capacity_threads()
         # Epoch-path cache key unpacked into two ints so the dispatch
         # fast path compares without building a tuple.
@@ -83,9 +87,7 @@ class WorkerLB:
         """Grow the pool (elastic capacity): adopt rows, invalidate caches."""
         store = self.arrays
         for w in new_workers:
-            store.adopt(w)
-            self.workers.append(w)
-            self._all_idx.append(w._index)
+            self._all_idx.append(store.adopt(w))
         self._capacity_threads = store.capacity_threads()
         self._groups_cache_key = None
         self._ck_groups = -1
@@ -95,8 +97,8 @@ class WorkerLB:
     def group_workers(self, group: int) -> List[Worker]:
         """Workers currently assigned to a locality group."""
         self._refresh_groups()
-        views = self.arrays.workers
-        return [views[i] for i in self._groups.get(group, array("l"))]
+        view = self.arrays.view
+        return [view(i) for i in self._groups.get(group, array("l"))]
 
     def _refresh_groups(self) -> None:
         n_groups = max(1, self.n_groups_fn())
@@ -174,7 +176,7 @@ class WorkerLB:
         threads = arr.threads
         cores = arr.cores
         memory_mb = arr.memory_mb
-        views = arr.workers
+        views = arr.views
         pool = candidates
         spilled = False
         while True:
@@ -222,7 +224,10 @@ class WorkerLB:
                     if extra not in order:
                         order.append(extra)
             for idx in order:
-                if views[idx].execute(call):
+                worker = views[idx]
+                if worker is None:
+                    worker = arr.view(idx)
+                if worker.execute(call):
                     self.dispatch_count += 1
                     if spilled:
                         self.out_of_group_dispatches += 1

@@ -13,8 +13,9 @@ Design constraints, in order:
   POSIX via ``mp_context="fork"``.
 * **Graceful degradation** — an exception inside a run is caught in the
   worker and reported as a failed :class:`RunResult`; a worker process
-  dying outright is converted to failed results for the specs that were
-  in flight.  The sweep always returns one result per spec.
+  dying outright breaks the pool, and every spec without a result yet
+  becomes a failed result.  The sweep always returns one result per
+  spec, and returns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from typing import List, Optional, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from typing import List, Sequence
 
 from ..scenarios import SCENARIOS, summarize_run
 from .spec import RunResult, RunSpec
@@ -61,14 +63,15 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
 
 def run_sweep(specs: Sequence[RunSpec], workers: int = 1,
-              mp_context: str = "spawn",
-              chunksize: Optional[int] = None) -> List[RunResult]:
+              mp_context: str = "spawn") -> List[RunResult]:
     """Execute every spec and return results ordered by spec index.
 
     ``workers <= 1`` runs serially in-process (no pool, no pickling) —
-    the determinism baseline.  Otherwise a ``spawn`` pool executes specs
-    with chunked dispatch; ``chunksize`` defaults to 1 so long runs
-    load-balance instead of queueing behind one worker.
+    the determinism baseline.  Otherwise a process pool of the
+    ``mp_context`` start method runs one future per spec, so long runs
+    load-balance instead of queueing behind one worker.  When a pool
+    process dies, the pool breaks and fails every unfinished future
+    (``BrokenProcessPool``); those specs become failed results.
     """
     specs = list(specs)
     if len({s.index for s in specs}) != len(specs):
@@ -80,14 +83,12 @@ def run_sweep(specs: Sequence[RunSpec], workers: int = 1,
     ctx = multiprocessing.get_context(mp_context)
     workers = min(workers, len(specs))
     results: List[RunResult] = []
-    with ctx.Pool(processes=workers) as pool:
-        it = pool.imap(execute_spec, specs, chunksize=chunksize or 1)
-        for spec in specs:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        futures = [pool.submit(execute_spec, spec) for spec in specs]
+        for spec, future in zip(specs, futures):
             try:
-                results.append(next(it))
-            except StopIteration:  # pool died mid-sweep
-                results.append(_worker_loss(spec, "result stream ended early"))
-            except Exception as exc:  # crashed worker / unpicklable result
+                results.append(future.result())
+            except Exception as exc:  # broken pool / unpicklable result
                 results.append(_worker_loss(spec, repr(exc)))
     return sorted(results, key=lambda r: r.index)
 

@@ -27,12 +27,21 @@ from repro.workloads import (
 )
 
 
+def _registered(rim, region):
+    """Every worker registered in ``region``, in registration order."""
+    rows = sorted((pos, row, store) for store, pos_of
+                  in rim._positions_by_region[region].items()
+                  for row, pos in enumerate(pos_of) if pos >= 0)
+    return [store.view(row) for _, row, store in rows]
+
+
 def _brute_force_sample(self):
     """The per-worker sampler: every registered worker, every window."""
     now = self.sim.now
     total_busy = 0.0
     total_workers = 0
-    for region, workers in sorted(self._workers_by_region.items()):
+    for region in sorted(self._count_by_region):
+        workers = _registered(self, region)
         if not workers:
             continue
         busy = 0.0

@@ -6,8 +6,13 @@ bit-identical per-run trace digests and identical merged statistics
 whether the sweep runs serially in-process or across spawn workers.
 """
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
+from repro.scenarios import SCENARIOS
 from repro.sim import derive_seed
 from repro.sweep import (
     ABLATIONS,
@@ -103,6 +108,23 @@ class TestExecution:
         merged_p = merge_metrics(parallel).snapshot()
         assert merged_s == merged_p
         assert aggregate_summaries(serial) == aggregate_summaries(parallel)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_dead_pool_process_fails_its_specs_and_returns(self, monkeypatch):
+        # A scenario that kills its process outright: fork-started pool
+        # processes inherit the patched table.  The sweep must return a
+        # failed result per spec instead of waiting forever.
+        monkeypatch.setitem(SCENARIOS, "die", lambda **_: os._exit(3))
+        specs = [RunSpec(index=i, seed=i, scenario="die") for i in range(2)]
+        t0 = time.monotonic()  # simlint: disable=SL002 -- bounds host wait
+        results = run_sweep(specs, workers=2, mp_context="fork")
+        waited = time.monotonic() - t0  # simlint: disable=SL002 -- same
+        assert waited < 30.0
+        assert [r.index for r in results] == [0, 1]
+        assert not any(r.ok for r in results)
+        assert all("worker failure" in r.error for r in results)
 
     def test_repeated_serial_runs_are_reproducible(self):
         spec = tiny_grid(n_reps=1)[0]

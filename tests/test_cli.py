@@ -119,6 +119,41 @@ class TestCommands:
         assert len(summary["region_utilization"]) == 3
         assert set(summary["latency_s"]) == {"p50", "p95", "p99"}
 
+    def test_simulate_digest_gates_fail_closed(self, capsys):
+        import json
+        argv = ["simulate", "--hours", "0.25", "--rate", "1.5",
+                "--regions", "2", "--functions", "16", "--seed", "3"]
+        assert main(argv + ["--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        trace, metrics = summary["trace_digest"], summary["metrics_digest"]
+        assert main(argv + ["--expect-digest", trace,
+                            "--expect-metrics-digest", metrics]) == 0
+        assert "DIGEST MISMATCH" not in capsys.readouterr().err
+        # A wrong metrics digest fails the run, in text and JSON mode.
+        assert main(argv + ["--expect-metrics-digest", "0" * 64]) == 1
+        assert "DIGEST MISMATCH (metrics)" in capsys.readouterr().err
+        assert main(argv + ["--json", "--expect-digest", "0" * 64]) == 1
+        err = capsys.readouterr().err
+        assert "DIGEST MISMATCH (trace)" in err and trace in err
+
+    def test_profile_metrics_digest_printed_and_gated(self, capsys):
+        import json
+
+        from .test_determinism_trace import (
+            QUICK_DAYRUN_DIGEST,
+            QUICK_DAYRUN_METRICS_DIGEST,
+        )
+        argv = ["profile", "--quick", "--json",
+                "--expect-digest", QUICK_DAYRUN_DIGEST]
+        assert main(argv + ["--expect-metrics-digest",
+                            QUICK_DAYRUN_METRICS_DIGEST]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["metrics_digest"] == QUICK_DAYRUN_METRICS_DIGEST
+        assert main(argv + ["--expect-metrics-digest", "0" * 64]) == 1
+        err = capsys.readouterr().err
+        assert "DIGEST MISMATCH (metrics)" in err
+        assert "DIGEST MISMATCH (trace)" not in err
+
     def test_sweep_smoke_table_and_json(self, capsys):
         import json
         argv = ["sweep", "--runs", "2", "--hours", "0.25", "--rate", "1.5",
