@@ -59,9 +59,9 @@ class CodeDeployer:
     The deployer is generic over workers: it needs each worker to expose
     ``adopt_version(version, now, with_profile_data)`` and a
     ``locality_group`` attribute (seeder data is distributed per group).
-    Workers register one by one or as a block, such as a store's
-    lazily built views; a push takes every registered worker, so it
-    builds every view.
+    Workers register as blocks, such as a range of a store's lazily
+    built views; a push takes every registered worker, so it builds
+    every view.
     """
 
     def __init__(self, sim: Simulator, params: RolloutParams = RolloutParams(),
@@ -78,9 +78,6 @@ class CodeDeployer:
         self.current_version = CodeVersion(version=1, released_at=0.0)
         self.rollouts_completed = 0
         self._task = None
-
-    def register_worker(self, worker) -> None:
-        self._blocks.append((worker,))
 
     def register_workers(self, workers: Sequence) -> None:
         """Register a block of workers, read only when a push starts."""

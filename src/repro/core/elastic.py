@@ -23,6 +23,7 @@ from ..sim.kernel import Simulator
 from ..sim.sampler import SamplerHub
 from .call import FunctionCall
 from .worker import Worker, WorkerParams
+from .workerarrays import WorkerArrays
 
 
 class ElasticWorker(Worker):
@@ -72,7 +73,11 @@ class ElasticSchedule:
 
 
 class ElasticPool:
-    """Manages a region's elastic workers against a schedule."""
+    """Manages a region's elastic workers against a schedule.
+
+    The workers are born as rows of ``arrays``, the region's store (a
+    store of the pool's own when none is given).
+    """
 
     def __init__(self, sim: Simulator, region: str, n_workers: int,
                  machine: MachineSpec = MachineSpec(),
@@ -80,16 +85,18 @@ class ElasticPool:
                  schedule: ElasticSchedule = ElasticSchedule(),
                  check_interval_s: float = 60.0,
                  on_finish: Optional[Callable] = None,
-                 timers: Optional[SamplerHub] = None) -> None:
+                 timers: Optional[SamplerHub] = None,
+                 arrays: Optional[WorkerArrays] = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.sim = sim
         self.region = region
         self.schedule = schedule
+        store = arrays if arrays is not None else WorkerArrays()
         self.workers: List[ElasticWorker] = [
             ElasticWorker(sim, f"{region}/elastic{w:02d}", region,
                           machine=machine, params=params,
-                          on_finish=on_finish)
+                          on_finish=on_finish, arrays=store)
             for w in range(n_workers)]
         self.grants = 0
         self.reclaims = 0

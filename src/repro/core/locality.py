@@ -27,7 +27,6 @@ from ..sim.kernel import Simulator
 from ..sim.sampler import SamplerHub
 from ..workloads.spec import FunctionSpec
 from .config import ConfigStore
-from .worker import Worker
 from .workerarrays import WorkerArrays
 
 
@@ -79,9 +78,6 @@ class LocalityOptimizer:
         self._rr_counter = 0
         self.reassign_count = 0
         self.worker_moves = 0
-        #: Bumped whenever any worker's locality group changes; WorkerLBs
-        #: key their group index off this instead of rehashing the pool.
-        self.group_epoch = 0
         self._tasks = []
 
     # ------------------------------------------------------------------
@@ -95,25 +91,19 @@ class LocalityOptimizer:
         self._specs[spec.name] = spec
         self._assignment[spec.name] = self._assign_one(spec)
 
-    def register_worker(self, worker: Worker) -> None:
-        """Register one worker; do it after its store is final."""
-        self.register_rows(worker._arrays,
-                           range(worker._index, worker._index + 1))
-
     def register_rows(self, store: WorkerArrays, rows: range) -> None:
         """Register the workers of ``store``'s ``rows`` (a step-1 range).
 
         Workers are spread over groups round-robin in registration
-        order, and each one bumps the group epoch.
+        order.
         """
         n = self.n_groups
         base = self._n_workers
         cycle = array("l", [(base + k) % n for k in range(n)])
-        store.group[rows.start:rows.stop] = (
-            cycle * -(-len(rows) // n))[:len(rows)]
+        store.set_group(slice(rows.start, rows.stop),
+                        (cycle * -(-len(rows) // n))[:len(rows)])
         self._blocks.append((store, rows))
         self._n_workers += len(rows)
-        self.group_epoch += len(rows)
 
     def group_of(self, function_name: str) -> int:
         if not self.enabled:
@@ -227,8 +217,7 @@ class LocalityOptimizer:
             mover = min(donors, key=scores.__getitem__)
             for store, rows in self._blocks:
                 if mover < len(rows):
-                    store.group[rows[mover]] = hottest
+                    store.set_group(rows[mover], hottest)
                     break
                 mover -= len(rows)
             self.worker_moves += 1
-            self.group_epoch += 1

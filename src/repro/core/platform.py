@@ -226,14 +226,13 @@ class XFaaS:
             self.locality_optimizer.register_rows(arrays, rows)
             self.deployer.register_workers(WorkerViews(arrays, rows))
             self.workers_by_region[r] = arrays.workers
-            self.rim.register_rows(r, arrays, rows)
+            self.rim.register_store(r, arrays)
             self.rim.register_durableqs(r, self.durableqs_by_region[r])
 
             workerlb = WorkerLB(
                 sim, r, arrays,
                 group_of_function=self.locality_optimizer.group_of,
-                n_groups_fn=lambda: self.locality_optimizer.n_groups,
-                group_epoch_fn=lambda: self.locality_optimizer.group_epoch)
+                n_groups_fn=lambda: self.locality_optimizer.n_groups)
             self.workerlbs[r] = workerlb
 
             scheduler = Scheduler(
@@ -322,18 +321,18 @@ class XFaaS:
         from .elastic import ElasticPool, ElasticSchedule
         scheduler = self.schedulers[region]
         machine = self.topology.region(region).machine_spec
+        store = self.workerlbs[region].arrays
+        start = len(store)
         kwargs = {"schedule": schedule} if schedule is not None else {}
+        # The pool's workers are born in the region's store, so the
+        # WorkerLB, RIM and workers_by_region[region] see them at once.
         pool = ElasticPool(self.sim, region, n_workers, machine=machine,
                            params=self.params.worker,
                            on_finish=scheduler.on_call_finished,
-                           timers=self.sampler_hub, **kwargs)
-        # Adoption appends the pool's rows to the region's store, so
-        # workers_by_region[region] gains them too.
-        self.workerlbs[region].add_workers(pool.workers)
-        self.rim.register_workers(region, pool.workers)
-        for worker in pool.workers:
-            self.locality_optimizer.register_worker(worker)
-            self.deployer.register_worker(worker)
+                           timers=self.sampler_hub, arrays=store, **kwargs)
+        rows = range(start, len(store))
+        self.locality_optimizer.register_rows(store, rows)
+        self.deployer.register_workers(WorkerViews(store, rows))
         return pool
 
     def register_spiky_client(self, team: str) -> None:

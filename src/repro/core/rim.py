@@ -14,16 +14,18 @@ takes windows only for the rows in each store's
 :attr:`~repro.core.workerarrays.WorkerArrays.active` set.  Every other
 worker was idle for the whole window, so its window is exactly ``0.0``,
 and leaving ``0.0`` out of a left-to-right float sum changes no bit
-(``x + 0.0 == x``).  The denominator is still every registered worker.
+(``x + 0.0 == x``).  The denominator is still every worker.
 
-Workers are registered as store rows, so a platform registers each
-region's fleet as one range and RIM never builds a cold row's view.
+A region's pool is its :class:`~repro.core.workerarrays.WorkerArrays`
+store, registered once: the worker count is ``len(store)``, capacity
+and free threads are the store's aggregates, and rows the store gains
+later (elastic workers) count from the moment they are born.  RIM never
+builds a cold row's view.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..metrics.recorder import MetricsRegistry
 from ..metrics.timeseries import Gauge
@@ -31,7 +33,6 @@ from ..sim.kernel import Simulator
 from ..sim.sampler import SamplerHub
 from .durableq import DurableQ
 from .scheduler import Scheduler
-from .worker import Worker
 from .workerarrays import WorkerArrays
 
 
@@ -45,16 +46,8 @@ class Rim:
         self.metrics = metrics
         self.sample_interval_s = sample_interval_s
         self._timers = timers
-        #: region -> number of registered workers.
-        self._count_by_region: Dict[str, int] = {}
-        #: region -> {store: row -> registration position, -1 for rows
-        #: not registered here}.  Dicts keep store registration order.
-        self._positions_by_region: Dict[
-            str, Dict[WorkerArrays, "array[int]"]] = {}
-        #: region -> True while its stores hold registered rows only, so
-        #: free threads can be read from the stores' running totals.
-        self._stores_exact: Dict[str, bool] = {}
-        self._capacity_by_region: Dict[str, int] = {}
+        #: region -> its worker store.
+        self._stores: Dict[str, WorkerArrays] = {}
         self._durableqs_by_region: Dict[str, List[DurableQ]] = {}
         self._schedulers_by_region: Dict[str, Scheduler] = {}
         self._region_util: Dict[str, float] = {}
@@ -66,40 +59,16 @@ class Rim:
         self._region_gauges: Dict[str, Gauge] = {}
 
     # ------------------------------------------------------------------
-    def register_workers(self, region: str, workers: List[Worker]) -> None:
-        """Add ``workers`` to ``region``, in order.
-
-        RIM records the store row each worker occupies now, so register
-        a pool after its store is final (after ``WorkerLB`` adoption).
-        """
-        for w in workers:
-            self.register_rows(region, w._arrays,
-                               range(w._index, w._index + 1))
-
-    def register_rows(self, region: str, store: WorkerArrays,
-                      rows: range) -> None:
-        """Add the workers of ``store``'s ``rows`` (a step-1 range)."""
-        positions = self._positions_by_region.setdefault(region, {})
-        if region not in self._region_gauges:
-            self._region_gauges[region] = self.metrics.bind_gauge(
-                f"region.{region}.utilization")
-        pos_of = positions.get(store)
-        if pos_of is None:
-            pos_of = positions[store] = array("l")
-        if len(pos_of) < len(store):
-            pos_of.extend(array("l", [-1]) * (len(store) - len(pos_of)))
-        start, stop = rows.start, rows.stop
-        if pos_of[start:stop].count(-1) != len(rows):
-            raise ValueError(f"a row in {start}..{stop - 1} of this store "
-                             f"is already registered in {region!r}")
-        count = self._count_by_region.get(region, 0)
-        pos_of[start:stop] = array("l", range(count, count + len(rows)))
-        count += len(rows)
-        self._count_by_region[region] = count
-        self._stores_exact[region] = sum(len(s) for s in positions) == count
-        self._capacity_by_region[region] = (
-            self._capacity_by_region.get(region, 0)
-            + sum(store.threads[start:stop]))
+    def register_store(self, region: str, store: WorkerArrays) -> None:
+        """Make ``store`` the worker pool of ``region``, once."""
+        for other, registered in self._stores.items():
+            if registered is store:
+                raise ValueError(f"store already registered in {other!r}")
+        if region in self._stores:
+            raise ValueError(f"{region!r} already has a worker store")
+        self._stores[region] = store
+        self._region_gauges[region] = self.metrics.bind_gauge(
+            f"region.{region}.utilization")
 
     def register_durableqs(self, region: str, shards: List[DurableQ]) -> None:
         self._durableqs_by_region.setdefault(region, []).extend(shards)
@@ -125,28 +94,22 @@ class Rim:
         now = self.sim.now
         total_busy_fraction = 0.0
         total_workers = 0
-        for region, registered in sorted(self._count_by_region.items()):
+        for region, store in sorted(self._stores.items()):
+            registered = len(store)
             if not registered:
                 continue
-            ran: List[Tuple[int, int, WorkerArrays]] = []
-            for store, pos_of in self._positions_by_region[region].items():
-                n_rows = len(pos_of)
-                for row in store.active:
-                    pos = pos_of[row] if row < n_rows else -1
-                    if pos >= 0:
-                        ran.append((pos, row, store))
-                store.window_start = now
-            # Registration order (positions are unique) and an explicit
-            # left-to-right sum: bit-identical to summing every worker's
-            # window in order.
-            ran.sort()
+            # Row order is registration order, and the explicit
+            # left-to-right sum is bit-identical to summing every
+            # worker's window in order.
             region_busy = 0.0
-            for _, row, store in ran:
+            active = store.active
+            for row in sorted(active):
                 cpu = store.view(row).cpu
                 region_busy += cpu.take_window(now)
                 if cpu.load == 0.0:
                     # Exact zero only: a float residue keeps accruing.
-                    store.active.discard(row)
+                    active.discard(row)
+            store.window_start = now
             region_util = region_busy / registered
             self._region_util[region] = region_util
             self._region_gauges[region].set(now, region_util)
@@ -176,26 +139,12 @@ class Rim:
 
     def region_capacity(self, region: str) -> float:
         """Aggregate worker thread capacity (supply proxy for the GTC)."""
-        return float(self._capacity_by_region.get(region, 0))
+        store = self._stores.get(region)
+        return float(store.capacity_threads if store is not None else 0)
 
     def region_free_threads(self, region: str) -> int:
-        # Admission caps running <= threads per worker, so capacity minus
-        # the stores' O(1) running totals equals the old per-worker sum.
-        positions = self._positions_by_region.get(region, {})
-        if self._stores_exact.get(region, True):
-            running = 0
-            for s in positions:
-                running += s.total_running
-            return self._capacity_by_region.get(region, 0) - running
-        # Store mismatch fallback: the registered rows only.
-        total = 0
-        for store, pos_of in positions.items():
-            threads, live = store.threads, store.running
-            for row, pos in enumerate(pos_of):
-                if pos >= 0:
-                    total += max(0, threads[row] - live[row])
-        return total
+        store = self._stores.get(region)
+        return store.free_threads() if store is not None else 0
 
     def regions(self) -> List[str]:
-        return sorted(set(self._count_by_region)
-                      | set(self._durableqs_by_region))
+        return sorted(set(self._stores) | set(self._durableqs_by_region))

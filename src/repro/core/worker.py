@@ -96,11 +96,12 @@ class Worker:
     online flag, locality group) lives in a :class:`WorkerArrays` row —
     ``self._arrays`` / ``self._index`` — shared per region so admission
     probes and two-choices draws read flat columns instead of chasing
-    this object.  A worker constructed without an explicit store gets a
-    private single-row one; pools re-home such workers via
-    :meth:`WorkerArrays.adopt`.  Given ``index``, the worker becomes the
-    view of that existing row of ``arrays`` (a cold row filled by
-    :meth:`WorkerArrays.add_rows`) and leaves its columns as they are.
+    this object.  A worker is born in the store it lives in: given
+    ``arrays``, it appends its row there (through
+    :meth:`WorkerArrays.add_rows`, like any other row) and keeps it for
+    life; without one it gets a single-row store of its own.  Given
+    ``index`` as well, the worker becomes the view of that existing
+    cold row and leaves its columns as they are.
     """
 
     __slots__ = (
@@ -150,9 +151,10 @@ class Worker:
         store = arrays if arrays is not None else WorkerArrays()
         self._arrays = store
         if index is None:
-            index = store.add(
-                self, machine.threads, machine.cores, machine.memory_mb,
-                self._baseline_mb + 0.0 + 0.0)
+            index = store.add_rows(
+                1, machine.threads, machine.cores, machine.memory_mb,
+                self._baseline_mb + 0.0 + 0.0).start
+            store.views[index] = self
         self._index = index
         #: function name → its shared resource-sampling stream; avoids
         #: rebuilding the f-string stream name per call (simlint SL007).
@@ -201,7 +203,7 @@ class Worker:
 
     @locality_group.setter
     def locality_group(self, value: int) -> None:
-        self._arrays.group[self._index] = value
+        self._arrays.set_group(self._index, value)
 
     def _sync_mem(self) -> None:
         """Recompute (never accumulate) the memory column.

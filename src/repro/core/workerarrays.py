@@ -31,6 +31,18 @@ are unchanged by the refactor.  Column meanings:
 ``online`` / ``group``
     Admission flag and locality-group id (the ``Worker`` properties
     ``online`` / ``locality_group`` are backed by these columns).
+    ``group`` is written only through :meth:`WorkerArrays.set_group`.
+
+One home per row
+----------------
+A region's store *is* its worker pool.  Every row is born in the store
+it lives in, through :meth:`WorkerArrays.add_rows` (a ``Worker`` built
+on a store appends its row there), and keeps its index for life; rows
+never move between stores.  The WorkerLB, RIM and ``workers_by_region``
+read the store instead of keeping their own membership lists, so a row
+appended mid-run (an elastic pool) joins all of them at once.
+``group_epoch`` moves on every row append and every ``group`` write,
+and a WorkerLB rebuilds its group index when it does.
 
 Cold rows
 ---------
@@ -50,10 +62,11 @@ them builds 14k views.
 
 Aggregates
 ----------
-``total_running`` is maintained O(1) on the execute/complete path so
-fleet-level demand signals (RIM free threads) never need an O(n) scan
-over worker objects inside a sim-clock handler — the anti-pattern
-simlint rule SL008 flags.
+``total_running`` is maintained O(1) on the execute/complete path, and
+``capacity_threads`` on every append, so fleet-level supply and demand
+signals (RIM capacity and free threads) never need an O(n) scan over
+worker objects inside a sim-clock handler — the anti-pattern simlint
+rule SL008 flags.
 
 Active rows
 -----------
@@ -63,8 +76,8 @@ may be non-idle since the last RIM utilization window, which started at
 and it adds its row.  Every other row has ``load == 0.0`` and an empty
 window, so its utilization window is exactly ``0.0`` and RIM skips it.
 Only its ``_window_start`` goes stale, and ``Worker.execute`` lifts that
-to ``window_start`` when the row rejoins the set.  Rows that join the
-store mid-run (elastic pools, adoption) start in the set, because
+to ``window_start`` when the row rejoins the set.  Rows appended after
+the store's first sample (elastic pools) start in the set, because
 their window start is their own and not the store's.
 """
 
@@ -72,7 +85,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Set, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (worker views)
     from .worker import Worker
@@ -92,7 +105,8 @@ class WorkerArrays:
 
     __slots__ = ("views", "make_view", "running", "cpu_load", "mem_mb",
                  "threads", "cores", "memory_mb", "online", "group",
-                 "total_running", "active", "window_start")
+                 "total_running", "capacity_threads", "group_epoch",
+                 "active", "window_start")
 
     def __init__(self, make_view: Optional[ViewFactory] = None) -> None:
         #: index -> Worker view (None until first access), aligned with
@@ -109,6 +123,11 @@ class WorkerArrays:
         self.group = array("l")
         #: Sum of ``running`` over all rows, maintained incrementally.
         self.total_running = 0
+        #: Sum of ``threads`` over all rows, maintained by ``add_rows``.
+        self.capacity_threads = 0
+        #: Bumped by every row append and every ``group`` write; a
+        #: WorkerLB rebuilds its group index when it moves.
+        self.group_epoch = 0
         #: Rows that may have accrued CPU time since ``window_start``.
         self.active: Set[int] = set()
         #: Start of the current RIM utilization window (set by RIM).
@@ -134,36 +153,18 @@ class WorkerArrays:
         return [w for w in self.views if w is not None]
 
     # ------------------------------------------------------------------
-    def add(self, worker: "Worker", threads: int, cores: int,
-            memory_mb: float, mem0_mb: float) -> int:
-        """Append a row for ``worker``; returns its permanent index."""
-        idx = len(self.views)
-        if self.window_start > 0.0:
-            # A fresh account's window starts at 0.0, not at the
-            # store's last sample: RIM must take its first window.
-            self.active.add(idx)
-        self.views.append(worker)
-        self.running.append(0)
-        self.cpu_load.append(0.0)
-        self.mem_mb.append(mem0_mb)
-        self.threads.append(threads)
-        self.cores.append(cores)
-        self.memory_mb.append(memory_mb)
-        self.online.append(1)
-        self.group.append(0)
-        return idx
-
     def add_rows(self, n: int, threads: int, cores: int, memory_mb: float,
                  mem0_mb: float) -> range:
         """Append ``n`` fresh workers' rows, with no views; returns them.
 
-        Each column gets exactly the value :meth:`add` would give it.
-        ``make_view`` builds a row's view when it is first accessed.
+        This is the only way a row is born: ``make_view`` builds a
+        row's view when it is first accessed, and a ``Worker`` built on
+        this store appends its row here and installs itself as the view.
         """
-        if self.make_view is None:
-            raise ValueError("add_rows needs a store with a make_view")
         start = len(self.views)
         if self.window_start > 0.0:
+            # A fresh account's window starts at 0.0, not at the
+            # store's last sample: RIM must take its first window.
             self.active.update(range(start, start + n))
         self.views += [None] * n
         self.running += array("l", [0]) * n
@@ -174,35 +175,19 @@ class WorkerArrays:
         self.memory_mb += array("d", [memory_mb]) * n
         self.online += array("b", [1]) * n
         self.group += array("l", [0]) * n
+        self.capacity_threads += threads * n
+        self.group_epoch += 1
         return range(start, start + n)
 
-    def adopt(self, worker: "Worker") -> int:
-        """Re-home ``worker`` (and its current hot state) into this store.
+    def set_group(self, rows: Union[int, slice],
+                  group: Union[int, "array[int]"]) -> None:
+        """Write the ``group`` column of a row (or a slice of rows).
 
-        Used when a pool is assembled from workers constructed against
-        private stores (tests, elastic pools built standalone).  The
-        worker's row in its old store is left behind unreferenced.
+        Every group write goes through here, so ``group_epoch`` tells a
+        WorkerLB exactly when its group index is stale.
         """
-        old = worker._arrays
-        if old is self:
-            return worker._index
-        i = worker._index
-        idx = len(self.views)
-        self.active.add(idx)
-        self.views.append(worker)
-        self.running.append(old.running[i])
-        self.cpu_load.append(old.cpu_load[i])
-        self.mem_mb.append(old.mem_mb[i])
-        self.threads.append(old.threads[i])
-        self.cores.append(old.cores[i])
-        self.memory_mb.append(old.memory_mb[i])
-        self.online.append(old.online[i])
-        self.group.append(old.group[i])
-        self.total_running += old.running[i]
-        old.total_running -= old.running[i]
-        worker._arrays = self
-        worker._index = idx
-        return idx
+        self.group[rows] = group
+        self.group_epoch += 1
 
     def load_score(self, row: int) -> float:
         """Scalar load of ``row``: max of thread, CPU and memory use."""
@@ -214,16 +199,12 @@ class WorkerArrays:
         return c if c > a else a
 
     # ------------------------------------------------------------------
-    # Whole-store aggregates (order-stable, index order)
+    # Whole-store aggregates
     # ------------------------------------------------------------------
-    def capacity_threads(self) -> int:
-        """Total thread capacity across all rows (static between adds)."""
-        return sum(self.threads)
-
     def free_threads(self) -> int:
         """Capacity minus live calls; admission caps running <= threads
         per worker, so the difference never goes negative per row."""
-        return sum(self.threads) - self.total_running
+        return self.capacity_threads - self.total_running
 
 
 class WorkerViews(Sequence):

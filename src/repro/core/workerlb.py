@@ -17,7 +17,7 @@ admission probe of a cold row builds its view.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional
 
 from ..sim.kernel import Simulator
 from .call import FunctionCall
@@ -30,34 +30,22 @@ GroupLookup = Callable[[str], int]
 class WorkerLB:
     """Load balancer over one region's worker pool for one namespace.
 
-    The pool is every row of ``self.arrays``.  Pass the store itself
-    (the platform does, so its cold rows stay rows) or a list of
-    workers: a list that is not exactly one store's rows in order is
-    adopted into a fresh store.  :meth:`add_workers` grows the pool.
+    The pool is every row of ``arrays``, the region's store, including
+    rows it gains later (elastic workers are born there).  The group
+    index is rebuilt on the first dispatch after the store's
+    ``group_epoch`` moves, which every row append and group write does.
     """
 
-    def __init__(self, sim: Simulator, region: str,
-                 workers: Union[WorkerArrays, Sequence[Worker]],
+    def __init__(self, sim: Simulator, region: str, arrays: WorkerArrays,
                  group_of_function: GroupLookup,
                  n_groups_fn: Callable[[], int],
                  extra_probes: int = 2,
-                 rng_name: Optional[str] = None,
-                 group_epoch_fn: Optional[Callable[[], int]] = None) -> None:
-        if not isinstance(workers, WorkerArrays):
-            workers = list(workers)
-            store = workers[0]._arrays if workers else WorkerArrays()
-            if (len(store) != len(workers)
-                    or any(w._arrays is not store or w._index != i
-                           for i, w in enumerate(workers))):
-                store = WorkerArrays()
-                for w in workers:
-                    store.adopt(w)
-            workers = store
-        if not len(workers):
+                 rng_name: Optional[str] = None) -> None:
+        if not len(arrays):
             raise ValueError(f"WorkerLB in {region!r} needs workers")
         self.sim = sim
         self.region = region
-        self.arrays = workers
+        self.arrays = arrays
         self.group_of_function = group_of_function
         self.n_groups_fn = n_groups_fn
         self.extra_probes = extra_probes
@@ -69,61 +57,27 @@ class WorkerLB:
         self.dispatch_count = 0
         self.reject_count = 0
         self.out_of_group_dispatches = 0
-        #: Cheap invalidation: when the Locality Optimizer exposes a group
-        #: epoch, the cache key is (n_groups, epoch) instead of a hash
-        #: over every worker's group id per dispatch.
-        self.group_epoch_fn = group_epoch_fn
-        self._groups_cache_key: Optional[object] = None
         self._groups: Dict[int, "array[int]"] = {}
-        self._all_idx: "array[int]" = array("l", range(len(self.arrays)))
-        self._capacity_threads = self.arrays.capacity_threads()
-        # Epoch-path cache key unpacked into two ints so the dispatch
-        # fast path compares without building a tuple.
-        self._ck_groups = -1
-        self._ck_epoch = -1
-
-    # ------------------------------------------------------------------
-    def add_workers(self, new_workers: List[Worker]) -> None:
-        """Grow the pool (elastic capacity): adopt rows, invalidate caches."""
-        store = self.arrays
-        for w in new_workers:
-            self._all_idx.append(store.adopt(w))
-        self._capacity_threads = store.capacity_threads()
-        self._groups_cache_key = None
-        self._ck_groups = -1
-        self._ck_epoch = -1
+        self._all_idx = range(0)
+        #: The store's ``group_epoch`` the index was built at.
+        self._epoch = -1
 
     # ------------------------------------------------------------------
     def group_workers(self, group: int) -> List[Worker]:
         """Workers currently assigned to a locality group."""
-        self._refresh_groups()
+        if self.arrays.group_epoch != self._epoch:
+            self._rebuild_groups()
         view = self.arrays.view
         return [view(i) for i in self._groups.get(group, array("l"))]
 
-    def _refresh_groups(self) -> None:
+    def _rebuild_groups(self) -> None:
+        # The group *count* is re-read only here: the Locality
+        # Optimizer's count is fixed after construction.
         n_groups = max(1, self.n_groups_fn())
-        # Workers carry their group id (the ``group`` column, set by the
-        # Locality Optimizer); rebuild the index when assignments change.
-        if self.group_epoch_fn is not None:
-            epoch = self.group_epoch_fn()
-            if n_groups != self._ck_groups or epoch != self._ck_epoch:
-                self._rebuild_groups(n_groups, epoch)
-            return
-        key = hash((n_groups,) + tuple(self.arrays.group))
-        if key == self._groups_cache_key:
-            return
-        self._build_group_index(n_groups)
-        self._groups_cache_key = key
-
-    def _rebuild_groups(self, n_groups: int, epoch: int) -> None:
-        self._build_group_index(n_groups)
-        self._ck_groups = n_groups
-        self._ck_epoch = epoch
-        self._groups_cache_key = (n_groups, epoch)
-
-    def _build_group_index(self, n_groups: int) -> None:
+        arr = self.arrays
+        self._all_idx = range(len(arr))
         groups: Dict[int, "array[int]"] = {}
-        group_col = self.arrays.group
+        group_col = arr.group
         for i in self._all_idx:
             g = group_col[i] % n_groups
             bucket = groups.get(g)
@@ -131,6 +85,7 @@ class WorkerLB:
                 bucket = groups[g] = array("l")
             bucket.append(i)
         self._groups = groups
+        self._epoch = arr.group_epoch
 
     # ------------------------------------------------------------------
     def dispatch(self, call: FunctionCall) -> bool:
@@ -143,21 +98,9 @@ class WorkerLB:
         spirit as the Locality Optimizer moving workers between groups
         under load imbalance (§4.5.2), but at per-call granularity.
         """
-        epoch_fn = self.group_epoch_fn
-        if epoch_fn is not None:
-            # Inlined _refresh_groups fast path: one epoch read and an
-            # int compare per dispatch.  The group *count* is re-read
-            # only when the epoch advances — the Locality Optimizer's
-            # count is fixed after construction, while every worker
-            # (re)assignment bumps the epoch.
-            epoch = epoch_fn()
-            if epoch != self._ck_epoch:
-                n_groups = self.n_groups_fn()
-                if n_groups < 1:
-                    n_groups = 1
-                self._rebuild_groups(n_groups, epoch)
-        else:
-            self._refresh_groups()
+        arr = self.arrays
+        if arr.group_epoch != self._epoch:
+            self._rebuild_groups()
         all_idx = self._all_idx
         group = self.group_of_function(call.spec.name)
         candidates = self._groups.get(group) or all_idx
@@ -169,7 +112,6 @@ class WorkerLB:
         # ``==`` dedup equivalent to the old object ``is`` check.
         getrandbits = self._getrandbits
         extra_probes = self.extra_probes
-        arr = self.arrays
         running = arr.running
         cpu_load = arr.cpu_load
         mem_mb = arr.mem_mb
@@ -253,8 +195,9 @@ class WorkerLB:
         threads = arr.threads
         cores = arr.cores
         memory_mb = arr.memory_mb
+        n = len(arr)
         total = 0
-        for i in self._all_idx:
+        for i in range(n):
             a = running[i] / threads[i]
             b = cpu_load[i] / cores[i]
             if b > a:
@@ -263,9 +206,7 @@ class WorkerLB:
             if b > a:
                 a = b
             total = total + a
-        return total / len(self._all_idx)
+        return total / n
 
     def free_threads(self) -> int:
-        # Admission caps running <= threads per worker, so the O(1)
-        # aggregate equals the old per-worker max(0, ...) sum.
-        return self._capacity_threads - self.arrays.total_running
+        return self.arrays.free_threads()

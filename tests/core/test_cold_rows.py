@@ -5,7 +5,9 @@
 ``workers_by_region[r][i]``, ``all_workers``, failure injection or a
 code push.  These tests pin that views stay unbuilt until then, that
 the built views are exactly the accessed rows, and that a run is bit
-for bit the run whose views were all built up front.
+for bit the run whose views were all built up front.  The runs that
+grow a region's store mid-run, push code or fail workers are also
+pinned to fixed digests, plain and sanitized.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from repro import PlatformParams, Simulator, XFaaS, build_topology
 from repro.cluster import MachineSpec, size_topology_for_utilization
 from repro.core import (
+    FunctionCall,
     LocalityOptimizer,
     LocalityParams,
     RolloutParams,
@@ -56,8 +59,8 @@ def _build_views_up_front(monkeypatch):
     monkeypatch.setattr(XFaaS, "__init__", forcing_init)
 
 
-def _elastic_run():
-    sim = Simulator(seed=3)
+def _elastic_run(sanitize=False):
+    sim = Simulator(seed=3, sanitize=sanitize)
     topology = build_topology(n_regions=2, workers_per_unit=2)
     platform = XFaaS(sim, topology, PlatformParams(
         memory_sample_interval_s=20.0, distinct_window_s=60.0))
@@ -77,19 +80,19 @@ def _elastic_run():
     return platform
 
 
-def _code_push_run():
+def _code_push_run(sanitize=False):
     """A fleetrun whose deployer pushes twice, building every view."""
     rollout = RolloutParams(push_interval_s=200.0, phase1_duration_s=40.0,
                             phase2_duration_s=60.0, distribution_delay_s=20.0)
-    run = build_fleetrun(300, horizon_s=600.0, overrides={
+    run = build_fleetrun(300, horizon_s=600.0, sanitize=sanitize, overrides={
         "start_code_deployer": True, "rollout": rollout})
     assert run.platform.deployer.rollouts_completed >= 2
     return run.platform
 
 
-def _fault_run():
+def _fault_run(sanitize=False):
     """A 1k fleetrun that fails and recovers a probed and a cold row."""
-    run = build_fleetrun(1000, run_sim=False)
+    run = build_fleetrun(1000, run_sim=False, sanitize=sanitize)
     platform, sim = run.platform, run.sim
     region = platform.topology.region_names[1]
     workers = platform.workers_by_region[region]
@@ -106,6 +109,22 @@ RUNS = {
     "elastic-pool": _elastic_run,
     "code-deployer": _code_push_run,
     "fail-recover": _fault_run,
+}
+
+#: (trace digest, metrics digest) of the runs above that register an
+#: elastic pool mid-run, push code to every worker, or fail and recover
+#: workers.  Pinned from the tree where elastic workers were built in a
+#: private store and adopted into the region's.
+PINNED = {
+    "elastic-pool": (
+        "b1a2069ca2f920d87d53045f5da05cfc0ebd16645f71eaf6796ea4b576ba480f",
+        "b05c82ca1629d4c3a84e793b3823b363d9ae65bca65e0abdebb4556e610fe7a5"),
+    "code-deployer": (
+        "e60b666e8ee5624c9a4f90e80a42f48285f206ff576a883140c807380fd73970",
+        "c366dd91d34444bb4215693050c60947d94154aa13c8ad6b0347968a119ed1b5"),
+    "fail-recover": (
+        "10d2245cb2213facd3b1011482d80e959ca595e5c5bb71202da15174dfa7177f",
+        "a9be5e71876fd2269d45a8ef55aa38893702bb8dbe85cb5479b29a6ced271350"),
 }
 
 
@@ -163,6 +182,34 @@ class TestLazyEqualsEager:
         assert _digests(lazy) == _digests(eager)
 
 
+class TestPinnedDigests:
+    @pytest.mark.parametrize("sanitize", [False, True],
+                             ids=["plain", "sanitized"])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_run_matches_pinned_digests(self, name, sanitize):
+        assert _digests(RUNS[name](sanitize=sanitize)) == PINNED[name]
+
+
+class TestGroupIndexFollowsGroupColumn:
+    def test_locality_group_write_reindexes_next_dispatch(self):
+        run = build_fleetrun(100, horizon_s=30.0)
+        platform = run.platform
+        region = platform.topology.region_names[0]
+        lb = platform.workerlbs[region]
+        worker = platform.workers_by_region[region][0]
+        n_groups = platform.locality_optimizer.n_groups
+        old = worker.locality_group
+        new = (old + 1) % n_groups
+        assert 0 in lb._groups[old % n_groups]
+        worker.locality_group = new
+        spec = platform.spec(platform.functions()[0])
+        now = run.sim.now
+        lb.dispatch(FunctionCall(spec, now, now, region, call_id=10**9))
+        assert 0 in lb._groups[new]
+        assert 0 not in lb._groups[old % n_groups]
+        assert worker in lb.group_workers(new)
+
+
 def _reference_rebalance(self):
     """The per-view rebalance: views in registration order."""
     if not self.enabled or not self._n_workers:
@@ -187,7 +234,6 @@ def _reference_rebalance(self):
         mover = min(donors, key=lambda w: w.load_score())
         mover.locality_group = hottest
         self.worker_moves += 1
-        self.group_epoch += 1
 
 
 def _rebalancing_run(seed=11, horizon_s=480.0):
@@ -219,6 +265,13 @@ def _rebalancing_run(seed=11, horizon_s=480.0):
     return platform
 
 
+#: (trace digest, metrics digest) of ``_rebalancing_run()``, pinned
+#: like ``PINNED``: every move must reach the WorkerLBs' group index.
+REBALANCING_RUN_DIGESTS = (
+    "0d8ac5d5ee13b8138346cd82334f6d43fa9bbae0a413872b5894bc04e11287ef",
+    "cbc2c73fcc6ec96f6e45aa1cd73dfe22ed5f07cba659ed41572d7a2ede4e818d")
+
+
 class TestRebalanceOnColumns:
     def test_same_mover_groups_and_epoch_as_per_view_reference(
             self, monkeypatch):
@@ -229,7 +282,8 @@ class TestRebalanceOnColumns:
             ref = _rebalancing_run()
         opt, ref_opt = platform.locality_optimizer, ref.locality_optimizer
         assert opt.worker_moves == ref_opt.worker_moves > 0
-        assert opt.group_epoch == ref_opt.group_epoch
         for region, lb in platform.workerlbs.items():
-            assert lb.arrays.group == ref.workerlbs[region].arrays.group
-        assert _digests(platform) == _digests(ref)
+            ref_store = ref.workerlbs[region].arrays
+            assert lb.arrays.group == ref_store.group
+            assert lb.arrays.group_epoch == ref_store.group_epoch
+        assert _digests(platform) == _digests(ref) == REBALANCING_RUN_DIGESTS

@@ -16,6 +16,7 @@ from repro.core import (
     UtilizationController,
     UtilizationParams,
     Worker,
+    WorkerArrays,
 )
 from repro.core.call import CallIdAllocator
 from repro.metrics import MetricsRegistry
@@ -35,9 +36,10 @@ def make_rig(n_workers=2, region="r0"):
     metrics = MetricsRegistry()
     rim = Rim(sim, metrics, sample_interval_s=10.0)
     machine = MachineSpec(cores=2, core_mips=1000, threads=16)
-    workers = [Worker(sim, f"w{i}", region, machine=machine)
+    store = WorkerArrays()
+    workers = [Worker(sim, f"w{i}", region, machine=machine, arrays=store)
                for i in range(n_workers)]
-    rim.register_workers(region, workers)
+    rim.register_store(region, store)
     rim.start()
     return sim, metrics, rim, workers
 
@@ -140,8 +142,8 @@ class TestGtcController:
         rim = Rim(sim, metrics, sample_interval_s=30.0)
         machine = MachineSpec(cores=2, core_mips=1000, threads=4)
         for region in ("r0", "r1"):
-            workers = [Worker(sim, f"{region}/w", region, machine=machine)]
-            rim.register_workers(region, workers)
+            worker = Worker(sim, f"{region}/w", region, machine=machine)
+            rim.register_store(region, worker._arrays)
         rim.start()
         network = NetworkModel(["r0", "r1"])
         gtc = GlobalTrafficConductor(sim, rim, config, network,
@@ -157,7 +159,7 @@ class TestGtcController:
         config = ConfigStore(sim, propagation_delay_s=0.0)
         metrics = MetricsRegistry()
         rim = Rim(sim, metrics)
-        rim.register_workers("r0", [Worker(sim, "w", "r0")])
+        rim.register_store("r0", Worker(sim, "w", "r0")._arrays)
         network = NetworkModel(["r0"])
         gtc = GlobalTrafficConductor(sim, rim, config, network,
                                      GtcParams(update_interval_s=10.0))

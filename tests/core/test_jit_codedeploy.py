@@ -84,8 +84,7 @@ class TestCodeDeployer:
                                canary_workers=2, phase2_fraction=0.02),
             cooperative_jit=cooperative)
         workers = [_FakeWorker() for _ in range(n_workers)]
-        for w in workers:
-            deployer.register_worker(w)
+        deployer.register_workers(workers)
         return sim, deployer, workers
 
     def test_push_reaches_all_workers(self):

@@ -28,11 +28,9 @@ from repro.workloads import (
 
 
 def _registered(rim, region):
-    """Every worker registered in ``region``, in registration order."""
-    rows = sorted((pos, row, store) for store, pos_of
-                  in rim._positions_by_region[region].items()
-                  for row, pos in enumerate(pos_of) if pos >= 0)
-    return [store.view(row) for _, row, store in rows]
+    """Every worker of ``region``'s store, in row order."""
+    store = rim._stores[region]
+    return [store.view(row) for row in range(len(store))]
 
 
 def _brute_force_sample(self):
@@ -40,7 +38,7 @@ def _brute_force_sample(self):
     now = self.sim.now
     total_busy = 0.0
     total_workers = 0
-    for region in sorted(self._count_by_region):
+    for region in sorted(self._stores):
         workers = _registered(self, region)
         if not workers:
             continue
@@ -73,19 +71,20 @@ def _call(sim, ids, cpu, exec_s, name="f"):
 
 
 def _rig(monkeypatch, reference):
-    """Two regions: r0 shares one store, r1 uses private single-row stores."""
+    """Two regions, each a pool of workers born in one shared store."""
     if reference:
         monkeypatch.setattr(Rim, "sample", _brute_force_sample)
     sim = Simulator(seed=5)
     metrics = MetricsRegistry()
     rim = Rim(sim, metrics, sample_interval_s=10.0)
     machine = MachineSpec(cores=2, core_mips=1000, threads=16)
-    shared = WorkerArrays()
+    shared, shared1 = WorkerArrays(), WorkerArrays()
     r0 = [Worker(sim, f"r0/w{i}", "r0", machine=machine, arrays=shared)
           for i in range(5)]
-    r1 = [Worker(sim, f"r1/w{i}", "r1", machine=machine) for i in range(3)]
-    rim.register_workers("r0", r0)
-    rim.register_workers("r1", r1)
+    r1 = [Worker(sim, f"r1/w{i}", "r1", machine=machine, arrays=shared1)
+          for i in range(3)]
+    rim.register_store("r0", shared)
+    rim.register_store("r1", shared1)
     ids = CallIdAllocator()
     direct = []
 
@@ -110,7 +109,7 @@ def _rig(monkeypatch, reference):
     # Overlapping fractional loads leave a float residue on r0/w2.
     sim.call_at(61.0, run(r0[2], 100.0, 1.0, "a"))
     sim.call_at(61.2, run(r0[2], 200.0, 1.0, "b"))
-    # Private-store region r1.
+    # Region r1.
     sim.call_at(12.0, run(r1[0], 800.0, 4.0))
     sim.call_at(33.0, run(r1[2], 400.0, 30.0))
     # Direct callers: an idle window taken after a sample, a busy window
@@ -120,14 +119,14 @@ def _rig(monkeypatch, reference):
     sim.call_at(31.0, take(r1[1]))
     sim.call_at(15.5, take(r0[0]))
     sim.call_at(16.0, run(r0[0], 300.0, 2.0))
-    # A worker built into the shared store after it was sampled: its
-    # first window starts at 0.0, not at the store's last sample.
+    # A worker born in the shared store after it was sampled: its
+    # first window starts at 0.0, not at the store's last sample, and
+    # RIM counts it from then on with no further registration.
     late = []
 
     def add_late():
         late.append(Worker(sim, "r0/late", "r0", machine=machine,
                            arrays=shared))
-        rim.register_workers("r0", late)
     sim.call_at(35.0, add_late)
     sim.call_at(38.0, lambda: late[0].execute(_call(sim, ids, 500.0, 5.0)))
     rim.start()
@@ -165,10 +164,21 @@ class TestActiveRowWindows:
     def test_duplicate_registration_rejected(self):
         sim = Simulator(seed=1)
         rim = Rim(sim, MetricsRegistry())
-        w = Worker(sim, "w", "r0")
-        rim.register_workers("r0", [w])
-        with pytest.raises(ValueError, match="already registered"):
-            rim.register_workers("r0", [w])
+        store = Worker(sim, "w", "r0")._arrays
+        rim.register_store("r0", store)
+        with pytest.raises(ValueError, match="already registered in 'r0'"):
+            rim.register_store("r0", store)
+        with pytest.raises(ValueError, match="already has a worker store"):
+            rim.register_store("r0", WorkerArrays())
+
+    def test_store_in_two_regions_rejected(self):
+        sim = Simulator(seed=1)
+        rim = Rim(sim, MetricsRegistry())
+        store = Worker(sim, "w", "r0")._arrays
+        rim.register_store("r0", store)
+        with pytest.raises(ValueError, match="already registered in 'r0'"):
+            rim.register_store("r1", store)
+        assert rim.regions() == ["r0"]
 
 
 def _mini_platform(seed=11, horizon_s=480.0):

@@ -15,6 +15,7 @@ from repro.core import (
     Scheduler,
     SchedulerParams,
     Worker,
+    WorkerArrays,
     WorkerLB,
 )
 from repro.core.call import CallIdAllocator, CallOutcome, CallState
@@ -49,9 +50,11 @@ class Harness:
             congestion_params or CongestionParams())
         self.dqs = {r: [DurableQ(self.sim, f"dq/{r}", r)] for r in regions}
         machine = MachineSpec(cores=8, core_mips=1000, threads=threads)
-        self.workers = [Worker(self.sim, f"w{i}", "r0", machine=machine)
+        self.store = WorkerArrays()
+        self.workers = [Worker(self.sim, f"w{i}", "r0", machine=machine,
+                               arrays=self.store)
                         for i in range(n_workers)]
-        self.lb = WorkerLB(self.sim, "r0", self.workers,
+        self.lb = WorkerLB(self.sim, "r0", self.store,
                            group_of_function=lambda f: 0,
                            n_groups_fn=lambda: 1)
         self.done = []

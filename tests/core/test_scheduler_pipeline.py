@@ -24,6 +24,7 @@ from repro.core import (
     Scheduler,
     SchedulerParams,
     Worker,
+    WorkerArrays,
     WorkerLB,
 )
 from repro.core.call import CallIdAllocator, CallState
@@ -49,9 +50,11 @@ class Rig:
         self.dqs = {"r0": [DurableQ(self.sim, "dq", "r0")]}
         machine = MachineSpec(cores=cores, core_mips=core_mips,
                               threads=threads)
-        self.workers = [Worker(self.sim, f"w{i}", "r0", machine=machine)
+        self.store = WorkerArrays()
+        self.workers = [Worker(self.sim, f"w{i}", "r0", machine=machine,
+                               arrays=self.store)
                         for i in range(n_workers)]
-        self.lb = WorkerLB(self.sim, "r0", self.workers,
+        self.lb = WorkerLB(self.sim, "r0", self.store,
                            group_of_function=lambda f: 0,
                            n_groups_fn=lambda: 1)
         self.scheduler = Scheduler(

@@ -66,38 +66,29 @@ class TestSharedStoreLayout:
             assert w._arrays is store
             assert w._index == i
             assert store.workers[i] is w
-        assert store.capacity_threads() == 5 * 8
+        assert store.capacity_threads == 5 * 8
         assert store.free_threads() == 5 * 8
+
+    def test_group_epoch_moves_on_append_and_group_write(self):
+        sim = Simulator()
+        store = WorkerArrays()
+        w = make_worker(sim, arrays=store)
+        epoch = store.group_epoch
+        make_worker(sim, arrays=store, name="w1")
+        assert store.group_epoch > epoch
+        epoch = store.group_epoch
+        w.locality_group = 2
+        assert store.group_epoch > epoch
+        epoch = store.group_epoch
+        store.set_group(slice(0, 2), store.group[::-1])
+        assert store.group_epoch > epoch
+        assert list(store.group) == [0, 2]
 
     def test_private_store_by_default(self):
         sim = Simulator()
         w = make_worker(sim)
         assert len(w._arrays) == 1
         assert w._arrays.workers[0] is w
-
-    def test_adopt_moves_row_and_running_total(self):
-        sim = Simulator()
-        w = make_worker(sim)
-        w.execute(make_call(sim))
-        old = w._arrays
-        assert old.total_running == 1
-        store = WorkerArrays()
-        idx = store.adopt(w)
-        assert w._arrays is store and w._index == idx
-        assert store.total_running == 1
-        assert old.total_running == 0
-        assert store.running[idx] == 1
-        # Completion after adoption lands in the new store.
-        sim.run_until(10.0)
-        assert store.total_running == 0
-        assert store.running[idx] == 0
-
-    def test_adopt_into_own_store_is_identity(self):
-        sim = Simulator()
-        store = WorkerArrays()
-        w = make_worker(sim, arrays=store)
-        assert store.adopt(w) == w._index
-        assert len(store) == 1
 
 
 class TestColumnViewConsistency:
@@ -180,7 +171,7 @@ class TestColumnViewConsistency:
         ws = [make_worker(sim, arrays=store, name=f"w{i}") for i in range(4)]
         ws[2].locality_group = 3
         assert store.group[2] == 3
-        store.group[1] = 7
+        store.set_group(1, 7)
         assert ws[1].locality_group == 7
         assert [w.locality_group for w in ws] == list(store.group)
 

@@ -11,6 +11,7 @@ from repro.core import (
     LocalityOptimizer,
     LocalityParams,
     Worker,
+    WorkerArrays,
     WorkerLB,
 )
 from repro.core.call import CallIdAllocator
@@ -35,13 +36,16 @@ def make_call(sim, name="f", mem=64.0, ephemeral=False):
 
 
 def make_workers(sim, n, threads=4):
+    """``n`` workers born in one store, the way a region's pool is."""
     machine = MachineSpec(cores=4, core_mips=1000, threads=threads)
-    return [Worker(sim, f"w{i}", "r", machine=machine) for i in range(n)]
+    store = WorkerArrays()
+    return [Worker(sim, f"w{i}", "r", machine=machine, arrays=store)
+            for i in range(n)]
 
 
 class TestWorkerLB:
     def _lb(self, sim, workers, n_groups=1, group_fn=None):
-        return WorkerLB(sim, "r", workers,
+        return WorkerLB(sim, "r", workers[0]._arrays,
                         group_of_function=group_fn or (lambda f: 0),
                         n_groups_fn=lambda: n_groups)
 
@@ -100,7 +104,7 @@ class TestWorkerLB:
     def test_no_workers_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            WorkerLB(sim, "r", [], lambda f: 0, lambda: 1)
+            WorkerLB(sim, "r", WorkerArrays(), lambda f: 0, lambda: 1)
 
     def test_pool_load_and_free_threads(self):
         sim = Simulator(seed=6)
@@ -152,8 +156,7 @@ class TestLocalityOptimizer:
         sim = Simulator()
         opt = self._optimizer(sim, n_groups=2)
         workers = make_workers(sim, 6)
-        for w in workers:
-            opt.register_worker(w)
+        opt.register_rows(workers[0]._arrays, range(len(workers)))
         counts = [sum(1 for w in workers if w.locality_group == g)
                   for g in range(2)]
         assert counts == [3, 3]
@@ -172,8 +175,7 @@ class TestLocalityOptimizer:
         sim = Simulator(seed=9)
         opt = self._optimizer(sim, n_groups=2)
         workers = make_workers(sim, 4, threads=4)
-        for w in workers:
-            opt.register_worker(w)
+        opt.register_rows(workers[0]._arrays, range(len(workers)))
         # Load only group 0's workers.
         for w in workers:
             if w.locality_group == 0:
