@@ -162,12 +162,6 @@ class CongestionController:
         self.rate_denials += 1
         return False
 
-    def _slow_start_allows(self, st: _FunctionState) -> bool:
-        p = self.params
-        allowance = max(p.slow_start_threshold_calls,
-                        st.prev_window_dispatches * (1.0 + p.slow_start_growth))
-        return st.window_dispatches < allowance
-
     def on_dispatch(self, name: str) -> None:
         st = self._require(name)
         st.running += 1

@@ -183,6 +183,8 @@ class Gauge:
     def sampled(self, t_start: float, t_end: float,
                 step: float) -> List[Tuple[float, float]]:
         """Sample the gauge at fixed steps (for plotting-style output)."""
+        if step <= 0:
+            raise ValueError(f"step must be positive, got {step}")
         out = []
         times = [p[0] for p in self._points]
         t = t_start
@@ -299,10 +301,14 @@ class Distribution:
         return sum(self._samples) / len(self._samples)
 
     def min(self) -> float:
+        if not self._samples:
+            raise ValueError(f"distribution {self.name!r} is empty")
         self._ensure_sorted()
         return self._samples[0]
 
     def max(self) -> float:
+        if not self._samples:
+            raise ValueError(f"distribution {self.name!r} is empty")
         self._ensure_sorted()
         return self._samples[-1]
 

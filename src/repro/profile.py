@@ -153,7 +153,6 @@ class ProfileRecorder:
     # ------------------------------------------------------------------
     def run_until(self, sim: Any, until: float) -> None:
         sim._stopped = False
-        sim._running = True
         queue = sim._queue
         purge_head = queue._purge_head
         pop_head = queue._pop_head
@@ -174,11 +173,9 @@ class ProfileRecorder:
         finally:
             sim.events_executed += executed
             self.events_profiled += executed
-            sim._running = False
 
     def run(self, sim: Any, max_events: Optional[int] = None) -> None:
         sim._stopped = False
-        sim._running = True
         queue = sim._queue
         purge_head = queue._purge_head
         pop_head = queue._pop_head
@@ -199,7 +196,6 @@ class ProfileRecorder:
         finally:
             sim.events_executed += executed
             self.events_profiled += executed
-            sim._running = False
 
     # ------------------------------------------------------------------
     # Component-method instrumentation

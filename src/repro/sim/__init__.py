@@ -1,15 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
 The substrate the entire XFaaS reproduction runs on: a single-threaded
-event loop (:class:`Simulator`), generator processes (:func:`spawn`),
-shared resources (:class:`Resource`, :class:`Store`), one-shot
-:class:`Signal` events, and named reproducible RNG streams.
+event loop (:class:`Simulator`) that runs scheduled and periodic
+callbacks, and named reproducible RNG streams.
 """
 
-from .events import EventCancelled, EventQueue, ScheduledEvent, Signal
+from .events import EventQueue, ScheduledEvent
 from .kernel import PeriodicTask, SimulationError, Simulator
-from .process import Process, ProcessKilled, spawn
-from .resources import Resource, Store
 from .rng import RngRegistry, RngStream, derive_seed
 from .simsan import (
     RegionMapProxy,
@@ -20,13 +17,9 @@ from .simsan import (
 )
 
 __all__ = [
-    "EventCancelled",
     "EventQueue",
     "PeriodicTask",
-    "Process",
-    "ProcessKilled",
     "RegionMapProxy",
-    "Resource",
     "RngRegistry",
     "RngStream",
     "SanitizeError",
@@ -34,10 +27,7 @@ __all__ = [
     "SanitizedRngStream",
     "Sanitizer",
     "ScheduledEvent",
-    "Signal",
     "SimulationError",
     "Simulator",
-    "Store",
     "derive_seed",
-    "spawn",
 ]

@@ -15,34 +15,21 @@ never compared.  The :class:`ScheduledEvent` handle is a ``__slots__``
 object carrying only what outlives the push: the callback, the cancelled
 flag, and a queue backref for cancellation accounting.
 
-Two further fast paths:
-
-* **Zero-delay FIFO** — ``call_after(0, ...)`` events (process wake-ups,
-  completion continuations) are appended to a plain deque instead of
-  sifting through the heap.  Because the clock never moves backwards and
-  ``seq`` is globally increasing, the deque is sorted by construction;
-  the pop path merges it with the heap head by tuple comparison, so the
-  execution order is bit-identical to pushing through the heap.
-* **Lazy deletion with purge** — cancellation only flags the handle.
-  Cancelled entries are skipped when they surface at the head
-  (:meth:`EventQueue._purge_head`), and when they exceed half the queue
-  the whole structure is compacted in one pass, bounding memory under
-  cancellation-heavy workloads (e.g. worker failure injection).
+**Lazy deletion with purge** — cancellation only flags the handle.
+Cancelled entries are skipped when they surface at the head
+(:meth:`EventQueue._purge_head`), and when they exceed half the queue
+the heap is compacted in one pass, bounding memory under
+cancellation-heavy workloads (e.g. worker failure injection).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 #: Never compact below this many cancelled entries (compaction is O(n);
 #: tiny queues are cheaper to purge lazily at the head).
 _PURGE_MIN_CANCELLED = 64
-
-
-class EventCancelled(Exception):
-    """Raised when waiting on an event that gets cancelled."""
 
 
 class ScheduledEvent:
@@ -80,19 +67,16 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[Entry] = []
-        #: Zero-delay fast path: entries appended here are already in
-        #: key order (time non-decreasing, seq increasing, priority 0).
-        self._zero: "deque[Entry]" = deque()
         self._seq = 0
         self._cancelled = 0
 
     def __len__(self) -> int:
         """Total queued entries, including cancelled ones."""
-        return len(self._heap) + len(self._zero)
+        return len(self._heap)
 
     def live_count(self) -> int:
         """Queued entries that are not cancelled."""
-        return len(self._heap) + len(self._zero) - self._cancelled
+        return len(self._heap) - self._cancelled
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -106,34 +90,19 @@ class EventQueue:
         heapq.heappush(self._heap, (time, priority, seq, ev))
         return ev
 
-    def push_zero(self, now: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Fast path for ``call_after(0, ...)`` at default priority.
-
-        Appends to the FIFO instead of the heap.  Correct because the
-        new key ``(now, 0, seq)`` is strictly greater than every key
-        already in the FIFO: the clock is monotone and ``seq`` is fresh.
-        """
-        ev = ScheduledEvent(now, callback, self)
-        seq = self._seq
-        self._seq = seq + 1
-        self._zero.append((now, 0, seq, ev))
-        return ev
-
     # ------------------------------------------------------------------
     # Lazy deletion
     # ------------------------------------------------------------------
     def _on_cancel(self) -> None:
         self._cancelled += 1
         if (self._cancelled > _PURGE_MIN_CANCELLED
-                and self._cancelled * 2 > len(self._heap) + len(self._zero)):
+                and self._cancelled * 2 > len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:
         """Drop every cancelled entry in one pass and re-heapify."""
         self._heap = [e for e in self._heap if not e[3].cancelled]
         heapq.heapify(self._heap)
-        if self._zero:
-            self._zero = deque(e for e in self._zero if not e[3].cancelled)
         self._cancelled = 0
 
     def _purge_head(self) -> Optional[Entry]:
@@ -148,27 +117,11 @@ class EventQueue:
             entry = heapq.heappop(heap)
             entry[3]._queue = None
             self._cancelled -= 1
-        zero = self._zero
-        while zero and zero[0][3].cancelled:
-            entry = zero.popleft()
-            entry[3]._queue = None
-            self._cancelled -= 1
-        if heap:
-            if zero and zero[0] < heap[0]:
-                return zero[0]
-            return heap[0]
-        if zero:
-            return zero[0]
-        return None
+        return heap[0] if heap else None
 
     def _pop_head(self) -> Entry:
         """Pop the entry ``_purge_head`` just returned (head is live)."""
-        heap = self._heap
-        zero = self._zero
-        if heap and (not zero or heap[0] < zero[0]):
-            entry = heapq.heappop(heap)
-        else:
-            entry = zero.popleft()
+        entry = heapq.heappop(self._heap)
         entry[3]._queue = None
         return entry
 
@@ -185,57 +138,3 @@ class EventQueue:
         """Time of the next live event, or ``None`` when empty."""
         head = self._purge_head()
         return head[0] if head is not None else None
-
-
-class Signal:
-    """A one-shot event that process coroutines can wait on.
-
-    A :class:`Signal` starts pending; :meth:`fire` wakes every waiter
-    exactly once with an optional value.  Subsequent waits complete
-    immediately.  :meth:`fail` wakes waiters with an exception instead.
-    """
-
-    __slots__ = ("_fired", "_value", "_error", "_waiters")
-
-    def __init__(self) -> None:
-        self._fired = False
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
-        self._waiters: List[Callable[["Signal"], None]] = []
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        return self._error
-
-    def fire(self, value: Any = None) -> None:
-        if self._fired:
-            raise RuntimeError("Signal already fired")
-        self._fired = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(self)
-
-    def fail(self, error: BaseException) -> None:
-        if self._fired:
-            raise RuntimeError("Signal already fired")
-        self._fired = True
-        self._error = error
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(self)
-
-    def add_waiter(self, waiter: Callable[["Signal"], None]) -> None:
-        """Register ``waiter``; called immediately if already fired."""
-        if self._fired:
-            waiter(self)
-        else:
-            self._waiters.append(waiter)

@@ -2,8 +2,7 @@
 
 :class:`Simulator` owns the clock and the event queue.  Components
 schedule plain callbacks (:meth:`Simulator.call_at` /
-:meth:`Simulator.call_after`), periodic ticks (:meth:`Simulator.every`),
-or generator processes (see :mod:`repro.sim.process`).
+:meth:`Simulator.call_after`) and periodic ticks (:meth:`Simulator.every`).
 
 The kernel is intentionally minimal — there is no global registry or
 implicit singleton.  Everything in the reproduction receives the
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .events import EventQueue, ScheduledEvent, Signal
+from .events import EventQueue, ScheduledEvent
 from .rng import RngRegistry
 from .simsan import Sanitizer, SanitizedRngRegistry
 
@@ -52,7 +51,6 @@ class Simulator:
                 seed, self.sanitizer)
         else:
             self.rng = RngRegistry(seed)
-        self._running = False
         self._stopped = False
         self.events_executed = 0
         #: Optional time-attribution recorder (see :mod:`repro.profile`).
@@ -84,11 +82,6 @@ class Simulator:
     def call_after(self, delay: float, callback: Callable[[], None],
                    priority: int = 0) -> ScheduledEvent:
         """Run ``callback`` after ``delay`` seconds."""
-        if delay == 0.0 and priority == 0:
-            # Fast path: zero-delay continuations (process wake-ups,
-            # completion chains) go to the queue's FIFO lane instead of
-            # sifting through the heap; execution order is identical.
-            return self._queue.push_zero(self._now, callback)
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self._queue.push(self._now + delay, callback, priority)
@@ -110,12 +103,6 @@ class Simulator:
         task._schedule_at(max(first, self._now))
         return task
 
-    def timeout(self, delay: float, value: Any = None) -> Signal:
-        """A :class:`Signal` that fires ``delay`` seconds from now."""
-        sig = Signal()
-        self.call_after(delay, lambda: sig.fire(value))
-        return sig
-
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
@@ -132,7 +119,6 @@ class Simulator:
             self.profiler.run_until(self, time)
             return
         self._stopped = False
-        self._running = True
         queue = self._queue
         purge_head = queue._purge_head
         pop_head = queue._pop_head
@@ -150,7 +136,6 @@ class Simulator:
                 self._now = time
         finally:
             self.events_executed += executed
-            self._running = False
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains (or ``max_events`` executed)."""
@@ -158,7 +143,6 @@ class Simulator:
             self.profiler.run(self, max_events)
             return
         self._stopped = False
-        self._running = True
         queue = self._queue
         purge_head = queue._purge_head
         pop_head = queue._pop_head
@@ -176,7 +160,6 @@ class Simulator:
                 entry[3].callback()
         finally:
             self.events_executed += executed
-            self._running = False
 
     def stop(self) -> None:
         """Stop the currently running :meth:`run`/:meth:`run_until` loop."""

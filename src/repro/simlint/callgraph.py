@@ -46,10 +46,6 @@ class FunctionInfo:
     nested: Dict[str, "FunctionInfo"] = field(default_factory=dict)
     parent: Optional["FunctionInfo"] = None
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
     def param_index(self, name: str) -> Optional[int]:
         try:
             return self.params.index(name)
@@ -112,9 +108,6 @@ class ProjectIndex:
                 self._top_level[module][node.name] = info
 
     # -- lookup ----------------------------------------------------------
-    def info_for_node(self, node: ast.AST) -> Optional[FunctionInfo]:
-        return self._by_node.get(id(node))
-
     def all_functions(self) -> List[FunctionInfo]:
         """Deterministic (qualname-sorted) list of every function."""
         return [self.functions[q] for q in sorted(self.functions)]

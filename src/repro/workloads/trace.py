@@ -72,11 +72,6 @@ def snapshot_call(call: Any, outcome_name: str) -> Tuple[Any, ...]:
             resources[0], resources[1], resources[2], call.attempts + 1)
 
 
-def trace_from_call(call: Any, outcome_name: str) -> CallTrace:
-    """Build a :class:`CallTrace` from a finished call object."""
-    return CallTrace(*snapshot_call(call, outcome_name))
-
-
 class TraceLog:
     """An append-only collection of :class:`CallTrace` with CSV round-trip.
 

@@ -11,7 +11,7 @@ import pytest
 from repro.core.call import CallIdAllocator, CallState, FunctionCall
 from repro.core.worker import _RunningCall
 from repro.metrics.timeseries import Counter, Distribution, Gauge
-from repro.sim.events import ScheduledEvent, Signal
+from repro.sim.events import ScheduledEvent
 from repro.util import add_slots
 from repro.workloads.spec import FunctionSpec
 
@@ -52,9 +52,6 @@ class TestSlottedHotObjects:
 
     def test_scheduled_event_is_slotted(self):
         _assert_slotted(ScheduledEvent(0.0, lambda: None, None))
-
-    def test_signal_is_slotted(self):
-        _assert_slotted(Signal())
 
     def test_metrics_primitives_are_slotted(self):
         _assert_slotted(Counter("c"))

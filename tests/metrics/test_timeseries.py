@@ -83,6 +83,13 @@ class TestGauge:
         assert samples == [(0.0, 0.0), (5.0, 0.0), (10.0, 1.0),
                            (15.0, 1.0), (20.0, 1.0)]
 
+    @pytest.mark.parametrize("step", [0.0, -5.0])
+    def test_sampled_rejects_nonpositive_step(self, step):
+        # A non-positive step never reaches t_end; it must fail fast.
+        g = Gauge("g", initial=0.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            g.sampled(0.0, 20.0, step=step)
+
     def test_max_value(self):
         g = Gauge("g", initial=1.0)
         g.set(5.0, 7.0)
@@ -106,8 +113,11 @@ class TestDistribution:
             assert d.percentile(p) == 42.0
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            Distribution("d").percentile(50)
+        d = Distribution("d")
+        for query in (lambda: d.percentile(50), d.mean, d.min, d.max,
+                      lambda: d.fraction_below(1.0)):
+            with pytest.raises(ValueError, match="'d' is empty"):
+                query()
 
     def test_out_of_range_percentile(self):
         d = Distribution("d")

@@ -1,13 +1,13 @@
 """EventQueue vs a brute-force reference: identical ordering under any schedule.
 
-The kernel's heap queue has two fast paths that must never change the
-execution order: the zero-delay FIFO lane merged with the heap head, and
-lazy deletion with whole-queue compaction.  These tests pin that
-contract against a reference queue that keeps every entry in a list and
-pops the minimum live ``(time, priority, seq)`` key by linear scan: for
-the *same* push/cancel sequence, both pop the same keys in the same
-order, including same-timestamp FIFO ties, cancelled handles, the
-zero-delay lane, and across compaction.
+The kernel's heap queue deletes lazily and compacts the whole heap
+once cancellations dominate; neither may change the execution order.
+These tests pin that contract against a reference queue that keeps
+every entry in a list and pops the minimum live ``(time, priority,
+seq)`` key by linear scan: for the *same* push/cancel sequence, both
+pop the same keys in the same order, including same-timestamp FIFO
+ties, zero-delay pushes at the current clock, cancelled handles, and
+across compaction.
 """
 
 import random
@@ -43,9 +43,6 @@ class ReferenceQueue:
         self._entries.append(((time, priority, self._seq), handle))
         self._seq += 1
         return handle
-
-    def push_zero(self, now, callback):
-        return self.push(now, callback)
 
     def live_count(self):
         return sum(not h.cancelled for _, h in self._entries)
@@ -90,7 +87,7 @@ def apply_ops(q, ops):
         if op[0] == "push":
             handles.append(q.push(op[1], noop, priority=op[2]))
         elif op[0] == "zero":
-            handles.append(q.push_zero(op[1], noop))
+            handles.append(q.push(op[1], noop, priority=0))
         else:
             handles[op[1]].cancel()
     return handles
@@ -99,8 +96,9 @@ def apply_ops(q, ops):
 def random_schedule(rng, n_events=500):
     """A randomized op sequence with ties, zero-gaps, and cancellations.
 
-    The zero lane requires ``now`` to be monotone (the kernel clock
-    guarantees it); pushes may target any future or past time.
+    ``zero`` ops push at a monotone ``now`` with priority 0, the key
+    ``call_after(0, ...)`` produces; other pushes may target any future
+    or past time.
     """
     ops = []
     now = 0.0
@@ -150,8 +148,8 @@ class TestRandomizedEquivalence:
                 hh.append(heap.push(t, noop, priority=prio))
                 hr.append(ref.push(t, noop, priority=prio))
             elif r < 0.55:
-                hh.append(heap.push_zero(now, noop))
-                hr.append(ref.push_zero(now, noop))
+                hh.append(heap.push(now, noop, priority=0))
+                hr.append(ref.push(now, noop, priority=0))
             elif r < 0.65 and hh:
                 i = rng.randrange(len(hh))
                 hh[i].cancel()

@@ -1,4 +1,4 @@
-"""EventQueue internals: lazy deletion, purge, zero-delay lane, compaction."""
+"""EventQueue internals: lazy deletion, purge, zero-delay ordering, compaction."""
 
 import pytest
 
@@ -32,10 +32,12 @@ class TestPurgeHead:
         assert popped == [1.0, 3.0, 5.0]
 
     def test_purge_merges_zero_lane_before_heap(self):
+        # Keys order by (time, priority, seq): b's earlier time runs
+        # first, then a's lower seq beats c at the same time.
         q = EventQueue()
-        a = q.push(5.0, noop)           # heap: (5.0, 0, 0)
-        b = q.push_zero(3.0, noop)      # zero: (3.0, 0, 1) -> runs first
-        c = q.push_zero(5.0, noop)      # zero: (5.0, 0, 2) -> after a
+        a = q.push(5.0, noop)           # (5.0, 0, 0)
+        b = q.push(3.0, noop)           # (3.0, 0, 1) -> runs first
+        c = q.push(5.0, noop)           # (5.0, 0, 2) -> after a
         order = [q.pop() for _ in range(3)]
         assert order == [b, a, c]
 
@@ -122,18 +124,6 @@ class TestCompaction:
 
 
 class TestZeroDelayFastPath:
-    def test_call_after_zero_uses_fifo_lane(self):
-        sim = Simulator()
-        sim.call_after(0.0, noop)
-        assert len(sim._queue._zero) == 1
-        assert len(sim._queue._heap) == 0
-
-    def test_nonzero_priority_bypasses_fast_path(self):
-        sim = Simulator()
-        sim.call_after(0.0, noop, priority=1)
-        assert len(sim._queue._zero) == 0
-        assert len(sim._queue._heap) == 1
-
     def test_zero_delay_chain_runs_in_fifo_order(self):
         sim = Simulator()
         out = []
@@ -141,8 +131,8 @@ class TestZeroDelayFastPath:
         sim.call_after(0.0, lambda: out.append("b"))
         sim.call_at(0.0, lambda: out.append("heap"))
         sim.run_until(0.0)
-        # Heap entry has an earlier seq only if pushed earlier; here the
-        # two FIFO entries were pushed first, so they run first.
+        # Same time and priority: push order (seq) decides, so the two
+        # call_after(0) entries pushed first run first.
         assert out == ["a", "b", "heap"]
 
     def test_zero_delay_interleaves_with_timed_events(self):

@@ -1,12 +1,11 @@
 """Determinism regression: same-seeded mini-dayruns hash identically.
 
 This is the safety net for every kernel optimization in this repo: the
-tuple-heap event queue, the zero-delay FIFO lane, lazy arrival
-streaming, and the array-backed metrics must all preserve *bit-identical*
-traces for a fixed master seed.  The test runs the same miniature
-platform twice (fresh object graphs, same seed) and compares a SHA-256
-over every field of every call trace; a third run with a different seed
-must diverge.
+tuple-heap event queue, lazy arrival streaming, and the array-backed
+metrics must all preserve *bit-identical* traces for a fixed master
+seed.  The test runs the same miniature platform twice (fresh object
+graphs, same seed) and compares a SHA-256 over every field of every
+call trace; a third run with a different seed must diverge.
 """
 
 import hashlib

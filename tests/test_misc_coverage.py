@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import aggregate_percentiles
 from repro.core import CodeDeployer, ConfigStore, RolloutParams
 from repro.metrics import MetricsRegistry
-from repro.sim import Signal, Simulator
+from repro.sim import Simulator
 from repro.workloads import CallTrace, LogNormal
 
 
@@ -41,22 +41,6 @@ class TestMetricsRegistryWindows:
         reg.distribution("a.y")
         reg.distribution("b.z")
         assert len(list(reg.distributions_matching("a."))) == 2
-
-
-class TestSignalEdgeCases:
-    def test_fail_then_fire_rejected(self):
-        sig = Signal()
-        sig.fail(ValueError("x"))
-        with pytest.raises(RuntimeError):
-            sig.fire(1)
-
-    def test_error_visible_to_late_waiter(self):
-        sig = Signal()
-        err = ValueError("boom")
-        sig.fail(err)
-        seen = []
-        sig.add_waiter(lambda s: seen.append(s.error))
-        assert seen == [err]
 
 
 class TestLogNormalAnalytics:
