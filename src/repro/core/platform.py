@@ -444,7 +444,7 @@ class XFaaS:
             service = self.services.maybe_get(service_name)
             if service is None:
                 continue
-            result = service.call(n, caller=call.function_name)
+            result = service.call(n)
             if result.exceptions and self.params.aimd:
                 self.congestion.on_backpressure(
                     call.function_name, service_name, result.exceptions)

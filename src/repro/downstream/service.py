@@ -12,7 +12,7 @@ an amplification factor, reproducing the WTCache→KVStore incident shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.kernel import Simulator
 
@@ -34,8 +34,16 @@ class ServiceParams:
     def __post_init__(self) -> None:
         if self.capacity_rps <= 0:
             raise ValueError("capacity_rps must be positive")
-        if self.backpressure_knee <= 0:
-            raise ValueError("backpressure_knee must be positive")
+        # The exception ramp divides by 2 - knee, and a roll divides by
+        # the elapsed window; both must stay positive.
+        if not 0.0 < self.backpressure_knee < 2.0:
+            raise ValueError("backpressure_knee must be in (0, 2)")
+        if not 0.0 <= self.max_exception_prob <= 1.0:
+            raise ValueError("max_exception_prob must be in [0, 1]")
+        if not 0.0 <= self.failure_prob_at_2x <= 1.0:
+            raise ValueError("failure_prob_at_2x must be in [0, 1]")
+        if not self.window_s > 0.0:
+            raise ValueError("window_s must be positive")
 
 
 @dataclass
@@ -48,17 +56,31 @@ class ServiceCallResult:
 
 
 class DownstreamService:
-    """One downstream service with overload-driven back-pressure."""
+    """One downstream service with overload-driven back-pressure.
+
+    A service's load ratio reads the measured load and capacity factor
+    of itself and, when ``dependency_coupling > 0``, of every service
+    ``effective_capacity`` reaches through ``depends_on``.  Those inputs
+    change only when a window rolls or a capacity factor is set, and
+    both bump the owning service's ``_stamp``.  ``call`` therefore
+    derives the ratio and its failure/exception probabilities once per
+    change of the stamp sum over :attr:`_visits`, not once per batch.
+    """
 
     def __init__(self, sim: Simulator, name: str,
                  params: ServiceParams = ServiceParams(),
-                 depends_on: Optional[List["DownstreamService"]] = None,
+                 depends_on: Sequence["DownstreamService"] = (),
                  amplification: float = 1.0,
                  dependency_coupling: float = 1.0) -> None:
         self.sim = sim
         self.name = name
         self.params = params
-        self.depends_on = depends_on or []
+        #: Fixed at construction: a service depends only on services
+        #: built before it, so the graph is acyclic and :attr:`_visits`
+        #: never goes stale.
+        self.depends_on: Tuple[DownstreamService, ...] = tuple(depends_on)
+        if any(dep.sim is not sim for dep in self.depends_on):
+            raise ValueError("a service's dependencies share its simulator")
         self.amplification = amplification
         if not 0.0 <= dependency_coupling <= 1.0:
             raise ValueError("dependency_coupling must be in [0, 1]")
@@ -66,16 +88,35 @@ class DownstreamService:
         #: (§5.5: KVStore throttled WTCache's requests).  0 = decoupled,
         #: 1 = capacity scales fully with the worst dependency's health.
         self.dependency_coupling = dependency_coupling
+        self._window_s = params.window_s
         self._window_start = 0.0
         self._window_requests = 0.0
         self._current_load_rps = 0.0
         #: Multiplier on capacity for incident injection (1.0 = healthy).
         self._capacity_factor = 1.0
+        #: Bumped on every window roll and capacity change.
+        self._stamp = 0
+        #: The services whose windows ``load_ratio`` rolls, self first,
+        #: in its visit order with repeats dropped (a second roll at the
+        #: same instant is a no-op).
+        visits = [self]
+        if dependency_coupling > 0:
+            for dep in self.depends_on:
+                visits.extend(dep._visits)
+        self._visits: Tuple[DownstreamService, ...] = tuple(
+            dict.fromkeys(visits))
+        #: Stamp sum over ``_visits`` the two thresholds were derived at.
+        self._stamp_sum = -1
+        #: A draw below ``_fail_below`` fails; below ``_distress_below``
+        #: it is a back-pressure exception.
+        self._fail_below = 0.0
+        self._distress_below = 0.0
         self.total_requests = 0
         self.total_exceptions = 0
         self.total_failures = 0
-        self.exception_counter = None  # optional metrics Counter
         self.rng = sim.rng.stream(f"service/{name}")
+        # One raw draw per request, the same consumption as RngStream.random.
+        self._random = self.rng._rng.random
 
     # ------------------------------------------------------------------
     @property
@@ -108,40 +149,53 @@ class DownstreamService:
         if factor < 0:
             raise ValueError("factor must be >= 0")
         self._capacity_factor = factor
+        self._stamp += 1
 
     # ------------------------------------------------------------------
-    def call(self, n: int, caller: str = "?") -> ServiceCallResult:
+    def call(self, n: int) -> ServiceCallResult:
         """Issue ``n`` requests; returns per-batch ok/exception/failure."""
         if n <= 0:
             return ServiceCallResult()
-        self._roll_window()
+        # Roll exactly the windows ``load_ratio`` would roll now.
+        now = self.sim.now
+        stamp_sum = 0
+        for svc in self._visits:
+            if now - svc._window_start >= svc._window_s:
+                svc._roll_window()
+            stamp_sum += svc._stamp
         self._window_requests += n
         self.total_requests += n
-        result = ServiceCallResult()
-        ratio = self.load_ratio
-        exception_prob = self._exception_prob(ratio)
-        failure_prob = self._failure_prob(ratio)
+        if stamp_sum != self._stamp_sum:
+            # Every visited window is rolled at ``now``, so this read
+            # rolls nothing more.
+            ratio = self.load_ratio
+            self._fail_below = self._failure_prob(ratio)
+            self._distress_below = self._fail_below + \
+                self._exception_prob(ratio)
+            self._stamp_sum = stamp_sum
+        fail_below = self._fail_below
+        distress_below = self._distress_below
+        random = self._random
+        failures = exceptions = 0
         for _ in range(n):
-            roll = self.rng.random()
-            if roll < failure_prob:
-                result.failures += 1
-            elif roll < failure_prob + exception_prob:
-                result.exceptions += 1
-            else:
-                result.ok += 1
-        self.total_exceptions += result.exceptions
-        self.total_failures += result.failures
-        if self.exception_counter is not None and result.exceptions:
-            self.exception_counter.add(self.sim.now, result.exceptions)
+            roll = random()
+            if roll < fail_below:
+                failures += 1
+            elif roll < distress_below:
+                exceptions += 1
+        self.total_exceptions += exceptions
+        self.total_failures += failures
         # Cascade: requests amplify into dependencies; failures upstream
         # amplify retries downstream (§5.5's domino effect).
-        for dep in self.depends_on:
+        if self.depends_on:
             amplified = int(round(n * self.amplification))
-            if result.failures or result.exceptions:
+            if failures or exceptions:
                 amplified = int(round(amplified * 1.5))
             if amplified > 0:
-                dep.call(amplified, caller=f"{caller}->{self.name}")
-        return result
+                for dep in self.depends_on:
+                    dep.call(amplified)
+        return ServiceCallResult(n - failures - exceptions, exceptions,
+                                 failures)
 
     # ------------------------------------------------------------------
     def _exception_prob(self, ratio: float) -> float:
@@ -161,10 +215,11 @@ class DownstreamService:
     def _roll_window(self) -> None:
         now = self.sim.now
         elapsed = now - self._window_start
-        if elapsed >= self.params.window_s:
+        if elapsed >= self._window_s:
             self._current_load_rps = self._window_requests / elapsed
             self._window_start = now
             self._window_requests = 0.0
+            self._stamp += 1
 
 
 class ServiceRegistry:

@@ -33,7 +33,7 @@ def build_tao_stack(sim: Simulator, registry: ServiceRegistry,
         sim, "kvstore", ServiceParams(capacity_rps=kvstore_capacity_rps))
     wtcache = DownstreamService(
         sim, "wtcache", ServiceParams(capacity_rps=wtcache_capacity_rps),
-        depends_on=[kvstore, tao], amplification=0.5,
+        depends_on=(kvstore, tao), amplification=0.5,
         dependency_coupling=0.9)
     registry.register(tao)
     registry.register(kvstore)

@@ -19,6 +19,42 @@ def make_service(sim=None, capacity=100.0, **params):
         sim, "svc", ServiceParams(capacity_rps=capacity, **params))
 
 
+class TestServiceParamsValidation:
+    @pytest.mark.parametrize("bad", [
+        dict(window_s=0.0),
+        dict(window_s=-1.0),
+        dict(backpressure_knee=0.0),
+        dict(backpressure_knee=2.0),
+        dict(backpressure_knee=3.0),
+        dict(max_exception_prob=-0.1),
+        dict(max_exception_prob=1.5),
+        dict(failure_prob_at_2x=-0.1),
+        dict(failure_prob_at_2x=1.5),
+        dict(capacity_rps=0.0),
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejects_values_that_break_the_model(self, bad):
+        with pytest.raises(ValueError):
+            ServiceParams(**bad)
+
+    def test_accepts_the_bounds(self):
+        ServiceParams(backpressure_knee=1.99, max_exception_prob=1.0,
+                      failure_prob_at_2x=0.0, window_s=1e-3)
+
+
+class TestConstruction:
+    def test_depends_on_is_a_fixed_tuple(self):
+        sim, base = make_service()
+        deps = [base]
+        svc = DownstreamService(sim, "top", depends_on=deps)
+        deps.clear()
+        assert svc.depends_on == (base,)
+
+    def test_dependency_on_another_simulator_rejected(self):
+        _, other = make_service()
+        with pytest.raises(ValueError):
+            DownstreamService(Simulator(seed=1), "top", depends_on=[other])
+
+
 class TestHealthyService:
     def test_under_capacity_no_exceptions(self):
         sim, svc = make_service(capacity=1000.0)

@@ -9,13 +9,26 @@ call trace; a third run with a different seed must diverge.
 """
 
 import hashlib
+import math
 
-from repro import PlatformParams, Simulator, XFaaS
+from repro import (
+    FunctionSpec,
+    Incident,
+    IncidentInjector,
+    PlatformParams,
+    ServiceRegistry,
+    Simulator,
+    XFaaS,
+    build_tao_stack,
+    build_topology,
+)
 from repro.cluster import MachineSpec, size_topology_for_utilization
-from repro.core import LocalityParams, SchedulerParams
+from repro.core import CongestionParams, LocalityParams, SchedulerParams
 from repro.workloads import (
     ArrivalGenerator,
     ConstantRate,
+    LogNormal,
+    ResourceProfile,
     build_population,
     estimate_demand_minstr,
 )
@@ -124,3 +137,53 @@ class TestFleetrunMetricsDigestPin:
         from repro.scenarios import build_fleetrun
         run = build_fleetrun(1000)
         assert run.platform.metrics.digest() == FLEETRUN_1K_METRICS_DIGEST
+
+
+#: Trace and metrics digests of a shortened §5.5 KVStore incident
+#: (:func:`_run_backpressure_incident`), pinned at the per-batch
+#: downstream model, before it cached overload odds per load window.
+BACKPRESSURE_INCIDENT_DIGEST = (
+    "bd1db7b6760f14122912f1abb773e899da94ec46552c804743309160d77a543e")
+BACKPRESSURE_INCIDENT_METRICS_DIGEST = (
+    "984a3d562dfb8aad33db06e5013dcafd6aa49a0447b54b596675f6a2a89271a2")
+
+
+def _run_backpressure_incident():
+    """Fig 13's loop in 1,200 s: KVStore degrades from 400 s to 800 s."""
+    sim = Simulator(seed=13)
+    services = ServiceRegistry()
+    _, _, kvstore = build_tao_stack(
+        sim, services, tao_capacity_rps=5000.0,
+        wtcache_capacity_rps=400.0, kvstore_capacity_rps=400.0)
+    platform = XFaaS(
+        sim, build_topology(n_regions=2, workers_per_unit=6),
+        PlatformParams(congestion=CongestionParams(
+            backpressure_threshold_per_min=60.0, adjust_window_s=30.0,
+            additive_increase_rps=5.0)),
+        services=services)
+    platform.register_function(FunctionSpec(
+        name="graph-sync", quota_minstr_per_s=1.0e6,
+        profile=ResourceProfile(
+            cpu_minstr=LogNormal(mu=math.log(20.0), sigma=0.3),
+            memory_mb=LogNormal(mu=math.log(32.0), sigma=0.3),
+            exec_time_s=LogNormal(mu=math.log(0.2), sigma=0.3)),
+        downstream=(("wtcache", 3),)))
+    IncidentInjector(sim).inject(
+        kvstore, Incident("kvstore", 400.0, 800.0, degraded_factor=0.05))
+    sim.every(1.0, lambda: [platform.submit("graph-sync")
+                            for _ in range(40)])
+    sim.run_until(1200.0)
+    return platform
+
+
+class TestBackpressureIncidentDigestPin:
+    def test_incident_matches_pinned_digests(self):
+        platform = _run_backpressure_incident()
+        # The pin covers the whole §5.5 loop: back-pressure, AIMD cuts
+        # and additive recovery all happen inside the horizon.
+        assert platform.metrics.counter("backpressure.wtcache").total > 0
+        assert platform.congestion.decrease_count > 0
+        assert platform.congestion.increase_count > 0
+        assert platform.traces.digest() == BACKPRESSURE_INCIDENT_DIGEST
+        assert platform.metrics.digest() == \
+            BACKPRESSURE_INCIDENT_METRICS_DIGEST
