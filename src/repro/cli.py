@@ -393,7 +393,13 @@ def _checked(kind: type, ok: Callable[[Any], bool], want: str
 
 
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "> 0")
+_NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                         ">= 0")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_SHARE = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+#: ``DiurnalRate`` needs its peak at least its default ``day_ratio``.
+_PEAK_TO_TROUGH = _checked(float, lambda v: math.isfinite(v) and v >= 2.0,
+                           ">= 2.0")
 
 
 def _at_least(low: int) -> Callable[[str], Any]:
@@ -420,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--functions", type=_FUNCTIONS, default=60)
     sim_p.add_argument("--regions", type=_at_least(1), default=4)
     sim_p.add_argument("--seed", type=int, default=7)
-    sim_p.add_argument("--peak-to-trough", type=float, default=4.3)
-    sim_p.add_argument("--opportunistic", type=float, default=0.6,
+    sim_p.add_argument("--peak-to-trough", type=_PEAK_TO_TROUGH, default=4.3)
+    sim_p.add_argument("--opportunistic", type=_SHARE, default=0.6,
                        help="fraction of eligible functions on "
                             "opportunistic quota")
     sim_p.add_argument("--target-utilization", type=_FRACTION, default=0.70)
@@ -474,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="10 simulated minutes instead of --hours")
     prof_p.add_argument("--hours", type=_POSITIVE, default=1.0)
     prof_p.add_argument("--seed", type=int, default=7)
-    prof_p.add_argument("--top", type=int, default=None,
+    prof_p.add_argument("--top", type=_at_least(1), default=None,
                         help="show only the top N rows by self time")
     prof_p.add_argument("--json", action="store_true",
                         help="emit the attribution data as JSON")
@@ -504,12 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     life_p = sub.add_parser("lifecycle",
                             help="print the Figure 1 lifecycle cost table")
-    life_p.add_argument("--execute-s", type=float, default=1.0)
+    life_p.add_argument("--execute-s", type=_NON_NEGATIVE, default=1.0)
     life_p.set_defaults(func=_cmd_lifecycle)
 
     growth_p = sub.add_parser("growth",
                               help="print the Figure 3 growth curve")
-    growth_p.add_argument("--years", type=int, default=5)
+    growth_p.add_argument("--years", type=_at_least(1), default=5)
     growth_p.set_defaults(func=_cmd_growth)
     return parser
 

@@ -4,9 +4,9 @@ Three cooperating mechanisms, per function:
 
 * **AIMD rate control** — downstream services throw back-pressure
   exceptions when overloaded.  When a function's exceptions per minute
-  exceed the service's threshold, its RPS limit is cut multiplicatively
-  (``r ← r·M``); windows free of back-pressure raise it additively
-  (``r ← r + I``).  The paper's production threshold example is 5,000
+  from any one service exceed the threshold, its RPS limit is cut
+  multiplicatively (``r ← r·M``); windows free of back-pressure raise
+  it additively (``r ← r + I``).  The paper's production threshold example is 5,000
   exceptions/min for the largest services.
 * **Concurrency limit** — a per-function cap on simultaneously running
   instances (safety net for services that do not emit back-pressure).
@@ -18,7 +18,6 @@ Three cooperating mechanisms, per function:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -74,9 +73,6 @@ class CongestionController:
         self._ss_growth_factor = 1.0 + self.params.slow_start_growth
         self._ss_threshold = self.params.slow_start_threshold_calls
         self._functions: Dict[str, _FunctionState] = {}
-        #: Per-service back-pressure thresholds (exceptions/min), set by
-        #: service owners (§4.6.3); falls back to the params default.
-        self._service_thresholds: Dict[str, float] = {}
         self.decrease_count = 0
         self.increase_count = 0
         self.slow_start_denials = 0
@@ -92,12 +88,6 @@ class CongestionController:
             spec=spec, rps_limit=p.initial_rps,
             bucket=TokenBucket(rate=p.initial_rps, burst_s=1.0))
 
-    def set_service_threshold(self, service: str,
-                              exceptions_per_min: float) -> None:
-        if exceptions_per_min <= 0:
-            raise ValueError("threshold must be positive")
-        self._service_thresholds[service] = exceptions_per_min
-
     # ------------------------------------------------------------------
     # Dispatch-time gates
     # ------------------------------------------------------------------
@@ -107,7 +97,10 @@ class CongestionController:
         if st is None:
             raise KeyError(
                 f"function {name!r} not registered with congestion controller")
-        return self.can_dispatch_state(st, now)
+        if not self.can_dispatch_state(st, now):
+            return False
+        st.bucket.tokens -= 1.0
+        return True
 
     def state_for(self, name: str) -> _FunctionState:
         """Resolve a function's gate state once (scheduler sweeps gate
@@ -115,7 +108,10 @@ class CongestionController:
         return self._require(name)
 
     def can_dispatch_state(self, st: _FunctionState, now: float) -> bool:
-        """:meth:`can_dispatch` on a pre-resolved :meth:`state_for`."""
+        """:meth:`can_dispatch` on a pre-resolved :meth:`state_for`, but
+        without taking the rate token: the caller takes it
+        (``st.bucket.tokens -= 1.0``) only once the dispatch goes ahead,
+        so a call another gate refuses spends no rate budget (§4.6.3)."""
         limit = st.spec.concurrency_limit
         if limit is not None and st.running >= limit:
             self.concurrency_denials += 1
@@ -155,10 +151,9 @@ class CongestionController:
                 cap = min_tokens
         if tokens > cap:
             tokens = cap
-        if tokens >= 1.0:
-            bucket.tokens = tokens - 1.0
-            return True
         bucket.tokens = tokens
+        if tokens >= 1.0:
+            return True
         self.rate_denials += 1
         return False
 
@@ -173,6 +168,9 @@ class CongestionController:
         if st.running > 0:
             st.running -= 1
         st.window_dispatches = max(0.0, st.window_dispatches - 1.0)
+        # Return the rate token, capped like CentralRateLimiter.refund.
+        st.bucket.tokens = min(st.bucket.tokens + 1.0,
+                               max(st.bucket.capacity, 1.0))
 
     def on_finish(self, name: str) -> None:
         st = self._require(name)
@@ -197,12 +195,11 @@ class CongestionController:
     def adjust(self, now: float) -> None:
         """Run one AIMD window for every function and roll slow-start windows."""
         p = self.params
-        scale = p.adjust_window_s / 60.0
+        threshold = p.backpressure_threshold_per_min * (
+            p.adjust_window_s / 60.0)
         for st in self._functions.values():
-            over = any(
-                count > self._service_thresholds.get(
-                    service, p.backpressure_threshold_per_min) * scale
-                for service, count in st.window_exceptions.items())
+            over = any(count > threshold
+                       for count in st.window_exceptions.values())
             if over:
                 # First decrease anchors the limit to the observed rate so
                 # the cut bites immediately rather than decaying from the
@@ -225,15 +222,6 @@ class CongestionController:
             st.window_dispatches = 0.0
 
     # ------------------------------------------------------------------
-    def max_concurrency_estimate(self, name: str,
-                                 exec_time_s: float) -> float:
-        """§4.6.3's R = r × p estimate of concurrent instances."""
-        st = self._require(name)
-        r = st.rps_limit
-        if math.isinf(r):
-            return math.inf
-        return r * exec_time_s
-
     def _require(self, name: str) -> _FunctionState:
         st = self._functions.get(name)
         if st is None:

@@ -38,7 +38,3 @@ class FuncBuffer:
         if not self._heap:
             raise IndexError(f"FuncBuffer {self.function_name!r} is empty")
         return heapq.heappop(self._heap)[1]
-
-    def head_key(self) -> Optional[Tuple[float, float, int]]:
-        """Priority key of the head call (None when empty)."""
-        return self._heap[0][0] if self._heap else None

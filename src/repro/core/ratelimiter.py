@@ -185,9 +185,6 @@ class CentralRateLimiter:
         self._functions[spec.name] = _FunctionQuota(
             spec=spec, prior_cost_minstr=max(cost, 1e-9))
 
-    def is_registered(self, name: str) -> bool:
-        return name in self._functions
-
     def record_cost(self, name: str, cpu_minstr: float) -> None:
         """Fold one observed execution cost into the per-call average."""
         fq = self._functions.get(name)

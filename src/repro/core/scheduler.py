@@ -162,12 +162,12 @@ class Scheduler:
                 cong_st.running -= 1
             wd = cong_st.window_dispatches - 1.0
             cong_st.window_dispatches = wd if wd > 0.0 else 0.0
-            bucket = quota.bucket
-            cap = bucket.capacity
-            if cap < 1.0:
-                cap = 1.0
-            tokens = bucket.tokens + 1.0
-            bucket.tokens = tokens if tokens < cap else cap
+            for bucket in (cong_st.bucket, quota.bucket):
+                cap = bucket.capacity
+                if cap < 1.0:
+                    cap = 1.0
+                tokens = bucket.tokens + 1.0
+                bucket.tokens = tokens if tokens < cap else cap
             call.state = buffered
             buffer = buffers.get(name)
             if buffer is None:
@@ -345,7 +345,9 @@ class Scheduler:
                     break  # function-level rate gate: defer the rest
                 heappop_(heap)
                 self._buffered_total -= 1
-                # Inline congestion.on_dispatch on the resolved state.
+                # Both gates passed: take the AIMD token, then inline
+                # congestion.on_dispatch on the resolved state.
+                cong_st.bucket.tokens -= 1.0
                 cong_st.running += 1
                 cong_st.window_dispatches += 1
                 call.state = CallState.RUNNING
@@ -370,17 +372,18 @@ class Scheduler:
             if deferred:
                 # Inlined _demote on the already-resolved gate states:
                 # every deferred call belongs to this buffer's function.
-                bucket = quota.bucket
-                cap = bucket.capacity
-                if cap < 1.0:
-                    cap = 1.0
+                buckets = (cong_st.bucket, quota.bucket)
                 for call in deferred:
                     if cong_st.running > 0:
                         cong_st.running -= 1
                     wd = cong_st.window_dispatches - 1.0
                     cong_st.window_dispatches = wd if wd > 0.0 else 0.0
-                    tokens = bucket.tokens + 1.0
-                    bucket.tokens = tokens if tokens < cap else cap
+                    for bucket in buckets:
+                        cap = bucket.capacity
+                        if cap < 1.0:
+                            cap = 1.0
+                        tokens = bucket.tokens + 1.0
+                        bucket.tokens = tokens if tokens < cap else cap
                     call.state = CallState.BUFFERED
                     buffer.push(call)
                     self._buffered_total += 1

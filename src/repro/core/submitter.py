@@ -163,10 +163,6 @@ class Submitter:
         else:
             write()
 
-    def client_rate(self, client: str) -> float:
-        stats = self._clients.get(client)
-        return stats.ema_rate if stats else 0.0
-
     def stop(self) -> None:
         self._flush()
 

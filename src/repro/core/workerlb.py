@@ -17,11 +17,10 @@ admission probe of a cold row builds its view.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..sim.kernel import Simulator
 from .call import FunctionCall
-from .worker import Worker
 from .workerarrays import WorkerArrays
 
 GroupLookup = Callable[[str], int]
@@ -63,13 +62,6 @@ class WorkerLB:
         self._epoch = -1
 
     # ------------------------------------------------------------------
-    def group_workers(self, group: int) -> List[Worker]:
-        """Workers currently assigned to a locality group."""
-        if self.arrays.group_epoch != self._epoch:
-            self._rebuild_groups()
-        view = self.arrays.view
-        return [view(i) for i in self._groups.get(group, array("l"))]
-
     def _rebuild_groups(self) -> None:
         # The group *count* is re-read only here: the Locality
         # Optimizer's count is fixed after construction.
@@ -181,32 +173,5 @@ class WorkerLB:
             spilled = True
 
     # ------------------------------------------------------------------
-    def pool_load(self) -> float:
-        """Mean load score across the pool (RIM/GTC input).
-
-        Loops over the flat columns, accumulating exactly like the old
-        ``sum(w.load_score() ...)`` (int 0 start, same addition order)
-        so the mean is bit-identical.
-        """
-        arr = self.arrays
-        running = arr.running
-        cpu_load = arr.cpu_load
-        mem_mb = arr.mem_mb
-        threads = arr.threads
-        cores = arr.cores
-        memory_mb = arr.memory_mb
-        n = len(arr)
-        total = 0
-        for i in range(n):
-            a = running[i] / threads[i]
-            b = cpu_load[i] / cores[i]
-            if b > a:
-                a = b
-            b = mem_mb[i] / memory_mb[i]
-            if b > a:
-                a = b
-            total = total + a
-        return total / n
-
     def free_threads(self) -> int:
         return self.arrays.free_threads()

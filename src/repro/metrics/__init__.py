@@ -1,6 +1,5 @@
-"""Metrics: time series, streaming percentiles, registry, reporting."""
+"""Metrics: time series, registry, reporting."""
 
-from .percentile import P2Quantile, P2Sketch, StreamingMean
 from .recorder import MetricsRegistry
 from .report import format_table, series_block, sparkline
 from .timeseries import Counter, Distribution, Gauge
@@ -10,9 +9,6 @@ __all__ = [
     "Distribution",
     "Gauge",
     "MetricsRegistry",
-    "P2Quantile",
-    "P2Sketch",
-    "StreamingMean",
     "format_table",
     "series_block",
     "sparkline",

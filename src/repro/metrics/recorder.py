@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from .percentile import P2Sketch
 from .timeseries import Counter, Distribution, Gauge
 
 
@@ -22,7 +21,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._distributions: Dict[str, Distribution] = {}
-        self._sketches: Dict[str, P2Sketch] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str, window: Optional[float] = None) -> Counter:
@@ -40,18 +38,6 @@ class MetricsRegistry:
         if name not in self._distributions:
             self._distributions[name] = Distribution(name)
         return self._distributions[name]
-
-    def sketch(self, name: str,
-               quantiles: Sequence[float] = (0.5, 0.95, 0.99)) -> P2Sketch:
-        """O(1)-memory percentile sketch for unbounded-volume streams.
-
-        Unlike :meth:`distribution`, samples are folded into fixed-size
-        P² marker state instead of being stored, so a sketch never grows
-        with the run horizon.  The quantile set is fixed at creation.
-        """
-        if name not in self._sketches:
-            self._sketches[name] = P2Sketch(quantiles)
-        return self._sketches[name]
 
     # ------------------------------------------------------------------
     # Bound handles: components resolve a metric once at init and keep
@@ -71,10 +57,6 @@ class MetricsRegistry:
     def bind_distribution(self, name: str) -> Distribution:
         return self.distribution(name)
 
-    def bind_sketch(self, name: str,
-                    quantiles: Sequence[float] = (0.5, 0.95, 0.99)) -> P2Sketch:
-        return self.sketch(name, quantiles)
-
     # ------------------------------------------------------------------
     def has_counter(self, name: str) -> bool:
         return name in self._counters
@@ -85,19 +67,8 @@ class MetricsRegistry:
     def has_distribution(self, name: str) -> bool:
         return name in self._distributions
 
-    def has_sketch(self, name: str) -> bool:
-        return name in self._sketches
-
     def counters_matching(self, prefix: str) -> Iterable[Counter]:
         return (c for n, c in sorted(self._counters.items())
-                if n.startswith(prefix))
-
-    def gauges_matching(self, prefix: str) -> Iterable[Gauge]:
-        return (g for n, g in sorted(self._gauges.items())
-                if n.startswith(prefix))
-
-    def distributions_matching(self, prefix: str) -> Iterable[Distribution]:
-        return (d for n, d in sorted(self._distributions.items())
                 if n.startswith(prefix))
 
     # ------------------------------------------------------------------
@@ -112,8 +83,8 @@ class MetricsRegistry:
                        for n, g in sorted(self._gauges.items())},
             "distributions": {n: d.snapshot()
                               for n, d in sorted(self._distributions.items())},
-            "sketches": {n: s.snapshot()
-                         for n, s in sorted(self._sketches.items())},
+            # Always empty; kept only so existing metrics digests hold.
+            "sketches": {},
         }
 
     def digest(self) -> str:
@@ -143,8 +114,6 @@ class MetricsRegistry:
             reg._gauges[name] = Gauge.from_snapshot(s)
         for name, s in snap.get("distributions", {}).items():
             reg._distributions[name] = Distribution.from_snapshot(s)
-        for name, s in snap.get("sketches", {}).items():
-            reg._sketches[name] = P2Sketch.from_snapshot(s)
         return reg
 
     def merge(self, other: Union["MetricsRegistry", dict]) -> "MetricsRegistry":
@@ -159,8 +128,7 @@ class MetricsRegistry:
         pairs: List[Tuple[Dict[str, Any], Dict[str, Any], Any]] = [
             (self._counters, other._counters, Counter),
             (self._gauges, other._gauges, Gauge),
-            (self._distributions, other._distributions, Distribution),
-            (self._sketches, other._sketches, P2Sketch)]
+            (self._distributions, other._distributions, Distribution)]
         for mine, theirs, kind in pairs:
             for name, metric in theirs.items():
                 if name in mine:

@@ -87,11 +87,6 @@ class Counter:
                t_end: Optional[float] = None) -> List[float]:
         return [v for _, v in self.series(t_start, t_end)]
 
-    def rate_series(self, t_start: float = 0.0,
-                    t_end: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Like :meth:`series` but values are per-second rates."""
-        return [(t, v / self.window) for t, v in self.series(t_start, t_end)]
-
     # -- snapshot / merge ------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Picklable plain-dict state (see module docstring)."""
@@ -250,8 +245,7 @@ class Distribution:
     8-byte list slot, and append faster on million-sample runs.
     Percentiles use the nearest-rank method the paper's Pxx notation
     implies; sorting happens lazily at query time, at most once per
-    batch of appends.  For O(1)-memory streaming estimates use
-    :class:`repro.metrics.P2Sketch` instead.
+    batch of appends.
     """
 
     __slots__ = ("name", "_samples", "_sorted")

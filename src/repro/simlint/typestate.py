@@ -245,8 +245,8 @@ _STATE_EVENT: Dict[Tuple[str, str], str] = {
 #: SL015's mutation guard: a chained ``registry.counter(...).inc(...)``
 #: while one of the registry's snapshots awaits its merge.
 _REGISTRY_ACCESSORS = frozenset(
-    {"counter", "gauge", "distribution", "sketch", "bind_counter",
-     "bind_gauge", "bind_distribution", "bind_sketch"})
+    {"counter", "gauge", "distribution", "bind_counter", "bind_gauge",
+     "bind_distribution"})
 _METRIC_MUTATORS = frozenset(
     {"inc", "dec", "add", "set", "record", "observe", "merge"})
 _MUTATE_MESSAGE = ("registry mutated between snapshot() and the "

@@ -3,9 +3,9 @@
 Two complementary aggregations:
 
 * :func:`merge_metrics` folds the per-process ``MetricsRegistry``
-  snapshots into one registry (exact for counters/distributions,
-  weighted-marker for P² sketches) — "what did the whole sweep's fleet
-  look like as one population".
+  snapshots into one registry (exact for counters, gauges and
+  distributions) — "what did the whole sweep's fleet look like as one
+  population".
 * :func:`aggregate_summaries` treats each run's headline scalars as an
   independent observation per variant label and reports mean ± 95%
   confidence interval — "how seed-sensitive is each claim".

@@ -77,9 +77,6 @@ class TestFuncBuffer:
         with pytest.raises(IndexError):
             FuncBuffer("f").pop()
 
-    def test_head_key_none_when_empty(self):
-        assert FuncBuffer("f").head_key() is None
-
     def test_fifo_within_equal_priority(self):
         buf = FuncBuffer("f")
         first = make_call(deadline=60.0)

@@ -207,7 +207,6 @@ class TestGroupIndexFollowsGroupColumn:
         lb.dispatch(FunctionCall(spec, now, now, region, call_id=10**9))
         assert 0 in lb._groups[new]
         assert 0 not in lb._groups[old % n_groups]
-        assert worker in lb.group_workers(new)
 
 
 def _reference_rebalance(self):

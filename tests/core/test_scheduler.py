@@ -149,6 +149,29 @@ class TestGates:
         assert h.scheduler.completed_count <= 45
         assert h.scheduler.deferred_gate_hits > 0
 
+    def test_quota_refusal_returns_aimd_token(self):
+        # §5.5 brownout under quota pressure: AIMD cuts f to 0.1 RPS and
+        # the quota (0.001 RPS) is tighter still.  A pass the quota gate
+        # refuses dispatched nothing, so it must spend no AIMD token:
+        # once the AIMD bucket refills, it stays full.
+        h = Harness()
+        spec = FunctionSpec(name="f", quota_minstr_per_s=0.01,
+                            profile=profile(exec_s=0.05))
+        h.register(spec, cost=10.0)
+        h.congestion.on_backpressure("f", "svc", 1e6)  # cut at t=0
+        for _ in range(5):
+            h.enqueue(spec)
+        h.sim.run_until(20.0)
+        state = h.congestion.state_for("f")
+        assert state.rps_limit == 0.1
+        assert h.scheduler.completed_count == 1
+        denials = h.congestion.rate_denials
+        h.sim.run_until(50.0)
+        assert h.scheduler.completed_count == 1
+        assert h.scheduler.deferred_gate_hits > 60
+        assert h.congestion.rate_denials == denials
+        assert state.bucket.tokens == 1.0
+
     def test_opportunistic_stopped_when_s_zero(self):
         h = Harness()
         h.config.publish(S_MULTIPLIER_KEY, 0.0)

@@ -113,6 +113,31 @@ class TestPipeline:
         rig.sim.run_until(300.0)
         assert rig.scheduler.completed_count == 21
 
+    def test_recycled_calls_return_aimd_tokens(self):
+        # "light" is cut to 0.1 RPS (one token of burst) while the hog
+        # holds the only thread: each tick parks one light call on that
+        # token, and the next tick's recycle must hand it back so the
+        # next pass can park one again.  A leaked token leaves the RunQ
+        # empty for the ~10 s the bucket takes to refill.
+        rig = Rig(cores=1, threads=1)
+        hog = FunctionSpec(name="hog", quota_minstr_per_s=1.0e9,
+                           profile=profile(cpu=50_000.0, exec_s=1.0))
+        light = FunctionSpec(name="light", quota_minstr_per_s=1.0e9,
+                             profile=profile(cpu=10.0, exec_s=0.1))
+        rig.register(hog)
+        rig.register(light)
+        rig.congestion.on_backpressure("light", "svc", 1e6)  # cut at t=0
+        rig.enqueue(hog)
+        for _ in range(5):
+            rig.enqueue(light)
+        parked = []
+        for t in range(11, 50, 2):  # between the 2 s ticks
+            rig.sim.run_until(float(t))
+            parked.append(len(rig.scheduler.runq))
+        assert rig.congestion.rps_limit("light") == 0.1
+        assert rig.scheduler.completed_count == 0
+        assert parked == [1] * len(parked)
+
     def test_oversized_call_does_not_block_function(self):
         # A call whose memory can never fit keeps retrying while the
         # rest of its function flows.

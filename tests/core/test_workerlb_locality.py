@@ -106,14 +106,13 @@ class TestWorkerLB:
         with pytest.raises(ValueError):
             WorkerLB(sim, "r", WorkerArrays(), lambda f: 0, lambda: 1)
 
-    def test_pool_load_and_free_threads(self):
+    def test_free_threads_follow_dispatch(self):
         sim = Simulator(seed=6)
         workers = make_workers(sim, 2, threads=4)
         lb = self._lb(sim, workers)
         assert lb.free_threads() == 8
         lb.dispatch(make_call(sim))
         assert lb.free_threads() == 7
-        assert lb.pool_load() > 0
 
 
 class TestLocalityOptimizer:

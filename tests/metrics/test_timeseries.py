@@ -33,12 +33,6 @@ class TestCounter:
             c.add(t)
         assert c.values(t_start=10.0, t_end=30.0) == [1.0, 1.0]
 
-    def test_rate_series(self):
-        c = Counter("x", window=10.0)
-        for _ in range(20):
-            c.add(3.0)
-        assert c.rate_series()[0] == (0.0, 2.0)
-
     def test_empty_series(self):
         assert Counter("x").series() == []
 

@@ -64,6 +64,16 @@ class TestParser:
         ["sweep", "--runs", "0"],
         ["sweep", "--workers", "0"],
         ["profile", "--hours", "-1"],
+        ["simulate", "--peak-to-trough", "-1"],
+        ["simulate", "--peak-to-trough", "1.5"],
+        ["simulate", "--opportunistic", "1.5"],
+        ["simulate", "--opportunistic", "-0.1"],
+        ["profile", "--top", "-3"],
+        ["profile", "--top", "0"],
+        ["lifecycle", "--execute-s", "-5"],
+        ["lifecycle", "--execute-s", "nan"],
+        ["growth", "--years", "-2"],
+        ["growth", "--years", "0"],
     ])
     def test_out_of_range_flag_is_a_usage_error(self, capsys, argv):
         # Exit 2 with argparse's usage message naming the flag, before

@@ -35,13 +35,6 @@ class TestMetricsRegistryWindows:
         c = reg.counter("custom", window=10.0)
         assert c.window == 10.0
 
-    def test_distributions_matching(self):
-        reg = MetricsRegistry()
-        reg.distribution("a.x")
-        reg.distribution("a.y")
-        reg.distribution("b.z")
-        assert len(list(reg.distributions_matching("a."))) == 2
-
 
 class TestLogNormalAnalytics:
     def test_mean_matches_closed_form_unclamped(self):

@@ -58,7 +58,6 @@ class TestBoundHandles:
         assert reg.bind_counter("c") is reg.counter("c")
         assert reg.bind_gauge("g") is reg.gauge("g")
         assert reg.bind_distribution("d") is reg.distribution("d")
-        assert reg.bind_sketch("s") is reg.sketch("s")
 
     def test_bound_counter_observes_same_values(self):
         reg = MetricsRegistry()
