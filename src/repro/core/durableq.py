@@ -40,7 +40,7 @@ class DurableQ:
         self.name = name
         self.region = region
         self.lease_timeout_s = lease_timeout_s
-        # Sanitized runs mirror simlint's SL014 lease FSM at runtime;
+        # Sanitized runs check every lease transition in LeaseGuard;
         # a plain run pays one None-check per protocol event.
         sanitizer = sim.sanitizer
         self._lease_guard = (

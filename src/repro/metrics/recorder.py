@@ -121,8 +121,12 @@ class MetricsRegistry:
 
         Metrics present in both are merged per-type; metrics only in
         ``other`` are deep-copied in, so later mutation of ``other``
-        never aliases into this registry.
+        never aliases into this registry.  Merging a registry into
+        itself would double every count, so it raises ``ValueError``;
+        merging its own :meth:`snapshot` is an ordinary fold.
         """
+        if other is self:
+            raise ValueError("cannot merge a MetricsRegistry into itself")
         if isinstance(other, dict):
             other = MetricsRegistry.from_snapshot(other)
         pairs: List[Tuple[Dict[str, Any], Dict[str, Any], Any]] = [

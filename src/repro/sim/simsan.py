@@ -12,8 +12,8 @@ platforms wrap their region-keyed maps in checking proxies that raise
 * **iteration-order-dependent scheduling** — iterating a region map
   whose keys are not in sorted order, the precondition for insertion
   order leaking into event order;
-* **lease-protocol violations** — the runtime mirror of simlint's
-  SL014 typestate rule: a DurableQ call ACKed or NACKed twice, settled
+* **lease-protocol violations** — the DurableQ lease state machine
+  (§4, at-least-once delivery): a call ACKed or NACKed twice, settled
   both ways, extended after settling, or re-leased after an ACK
   (:class:`LeaseGuard`).  Lease *expiry* stays tolerant, exactly like
   :class:`~repro.core.durableq.DurableQ` itself — at-least-once
@@ -61,11 +61,11 @@ class SupportsNow(Protocol):
 
 
 class LeaseGuard:
-    """Runtime typestate for DurableQ leases (the SL014 FSM, enforced).
+    """The DurableQ lease state machine, checked on the running queue.
 
     Tracks each call id through ``leased -> {acked | nacked}`` as the
     queue reports protocol events, raising :class:`SanitizeError` on
-    the transitions the static rule forbids.  Observation only: the
+    every illegal transition.  Observation only: the
     guard holds its own table and never touches queue state, so a
     sanitized run's trace digest is bit-identical to a plain run.
 
@@ -125,14 +125,14 @@ class LeaseGuard:
 class Sanitizer:
     """Shared checking state for one simulation's sanitized run.
 
-    Holds the clock the draw-order checks read and the runtime lease
-    typestate.  Checks are pure observation; no method here mutates
+    Holds the clock the draw-order checks read and the lease state
+    machine.  Checks are pure observation; no method here mutates
     anything a model component can see.
     """
 
     def __init__(self, clock: SupportsNow) -> None:
         self._clock = clock
-        #: Runtime lease typestate; DurableQ reports protocol events
+        #: Lease state machine; DurableQ reports protocol events
         #: here when its simulator runs sanitized.
         self.lease_guard = LeaseGuard()
 

@@ -10,9 +10,11 @@ across back-to-back runs in one process (the PR 2 call-id bug), a
 
 ``simlint`` encodes the contract as a small stdlib-``ast`` rule engine
 (:mod:`repro.simlint.engine`) plus a curated ruleset
-(:mod:`repro.simlint.rules`, eleven rules: SL001–SL008 and
-SL013–SL015, including the interprocedural lifecycle typestate rules
-backed by :mod:`repro.simlint.typestate`).  Run it as::
+(:mod:`repro.simlint.rules`, eight per-module rules, SL001–SL008).
+Protocol invariants that need whole-program flow (DurableQ leases,
+one-shot event handles, metric merges) are checked on the running
+system instead: :class:`repro.sim.simsan.LeaseGuard`, the kernel's
+handle checks and ``MetricsRegistry.merge``.  Run it as::
 
     python -m repro lint                # lint src/repro, text output
     python -m repro lint --json         # machine-readable findings

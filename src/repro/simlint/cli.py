@@ -17,16 +17,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .baseline import Baseline
-from .engine import (
-    Finding,
-    ProjectRule,
-    Severity,
-    iter_python_files,
-    lint_paths,
-)
+from .engine import Finding, Severity, iter_python_files, lint_paths
 from .rules import ALL_RULES, rule_summary, rules_by_id
 
 
@@ -67,54 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=[],
                         help="skip files whose path contains SUBSTR "
                              "(repeatable)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run per-file rules across N worker "
-                             "processes; the interprocedural rules "
-                             "(which need the whole call graph) run "
-                             "concurrently in the parent (default: 1)")
     return parser
-
-
-def _file_rule_chunk(job: "Tuple[List[str], Optional[List[str]], bool]"
-                     ) -> List[Finding]:
-    """Pool worker: per-file rules over one chunk of files.
-
-    Rules travel as ids (instances need not pickle); SL000 syntax
-    errors are filtered here because the parent's project pass reports
-    them once per broken file already.
-    """
-    paths, rule_ids, include_foreign = job
-    wanted = rules_by_id() if rule_ids is None else {
-        rid: rules_by_id()[rid] for rid in rule_ids}
-    file_rules = [r for r in wanted.values()
-                  if not isinstance(r, ProjectRule)]
-    found = lint_paths(paths, file_rules, include_foreign=include_foreign)
-    return [f for f in found if f.rule_id != "SL000"]
-
-
-def _lint_parallel(files: List[Path], rules, include_foreign: bool,
-                   jobs: int) -> List[Finding]:
-    """Split the run: file rules fan out over a process pool while the
-    parent runs the project (interprocedural) rules — which need every
-    file's AST at once — concurrently.  Output is identical to the
-    serial path (asserted by tests/simlint/test_cli.py)."""
-    import multiprocessing
-
-    rule_ids = [r.id for r in rules]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    jobs = max(1, min(jobs, len(files)))
-    chunks = [[str(f) for f in files[i::jobs]] for i in range(jobs)]
-    with multiprocessing.Pool(jobs) as pool:
-        async_result = pool.map_async(
-            _file_rule_chunk,
-            [(chunk, rule_ids, include_foreign) for chunk in chunks])
-        # Project rules (plus SL000 for unparseable files) in parent.
-        findings = lint_paths(files, project_rules,
-                              include_foreign=include_foreign)
-        for chunk_findings in async_result.get():
-            findings.extend(chunk_findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
 
 
 def _select_rules(raw: Optional[str]):
@@ -195,12 +142,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         files = [f for f in iter_python_files(paths)
                  if not any(sub in f.as_posix() for sub in args.exclude)]
-        if args.jobs > 1 and files:
-            findings = _lint_parallel(files, rules,
-                                      args.include_foreign, args.jobs)
-        else:
-            findings = lint_paths(files, rules,
-                                  include_foreign=args.include_foreign)
+        findings = lint_paths(files, rules,
+                              include_foreign=args.include_foreign)
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2

@@ -11,14 +11,6 @@ Adding a rule is ~30 lines: subclass :class:`Rule`, set ``id`` /
 over ``ctx.walk()``, and append an instance to
 :data:`repro.simlint.rules.ALL_RULES` (with fixtures in
 ``tests/simlint/fixtures``).
-
-Rules that need to see *across* files — the interprocedural typestate
-analyses SL013–SL015 — subclass :class:`ProjectRule` instead and
-implement :meth:`ProjectRule.check_project` over a :class:`Project`,
-which holds every parsed :class:`LintContext` of the run plus a shared
-cache for expensive whole-program artifacts (the call graph and
-typestate summaries built by :mod:`repro.simlint.callgraph` /
-:mod:`repro.simlint.typestate`).
 """
 
 from __future__ import annotations
@@ -256,42 +248,6 @@ class Rule:
         raise NotImplementedError
 
 
-class Project:
-    """Every parsed module of one lint run, for whole-program rules.
-
-    ``cache`` is shared by all :class:`ProjectRule` instances of the
-    run, so the call graph / typestate summaries are built once however
-    many interprocedural rules consume them.
-    """
-
-    def __init__(self, contexts: Sequence[LintContext]) -> None:
-        self.contexts: List[LintContext] = list(contexts)
-        self.by_module: Dict[str, LintContext] = {
-            ctx.module: ctx for ctx in self.contexts}
-        self.cache: Dict[str, object] = {}
-
-
-class ProjectRule(Rule):
-    """A rule whose scope is the whole lint run, not one module.
-
-    ``check_project`` sees every module at once (via :class:`Project`)
-    and may resolve calls across files; findings still carry the
-    specific file/line they anchor to, and per-line suppressions apply
-    exactly as for single-file rules.  Package scoping (``packages``)
-    is enforced by the engine on each finding's *owning module*, so an
-    interprocedural analysis may traverse helpers outside its scope but
-    only ever reports inside it.
-    """
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        # Single-module entry points wrap the context in a one-file
-        # project; intra-module interprocedural findings still surface.
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 def _module_for_path(path: str) -> str:
     parts = list(Path(path).parts)
     if parts and parts[-1].endswith(".py"):
@@ -324,34 +280,19 @@ def _syntax_error_finding(exc: SyntaxError, path: str,
                    fix_hint="simlint needs parseable Python")
 
 
-def _run_rules(contexts: Sequence[LintContext], rules: Sequence[Rule],
-               include_foreign: bool = False) -> List[Finding]:
-    """Per-file rules on each context, then project rules over all."""
-    findings: List[Finding] = []
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    for ctx in contexts:
-        for rule in file_rules:
-            if not rule.applies_to(ctx, include_foreign):
-                continue
-            for finding in rule.check(ctx):
-                if not ctx.is_suppressed(finding.rule_id, finding.line):
-                    findings.append(finding)
-    if project_rules:
-        project = Project(contexts)
-        by_path = {ctx.path: ctx for ctx in contexts}
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                ctx = by_path.get(finding.path)
-                if ctx is None:
-                    findings.append(finding)
-                    continue
-                if not rule.applies_to(ctx, include_foreign):
-                    continue
-                if not ctx.is_suppressed(finding.rule_id, finding.line):
-                    findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+def _check(ctx: LintContext, rules: Sequence[Rule],
+           include_foreign: bool = False) -> Iterator[Finding]:
+    """Every applicable rule on one module, suppressions applied."""
+    for rule in rules:
+        if not rule.applies_to(ctx, include_foreign):
+            continue
+        for finding in rule.check(ctx):
+            if not ctx.is_suppressed(finding.rule_id, finding.line):
+                yield finding
+
+
+def _by_location(findings: Iterable[Finding]) -> List[Finding]:
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule_id))
 
 
 def lint_source(source: str, path: str, rules: Sequence[Rule],
@@ -361,7 +302,7 @@ def lint_source(source: str, path: str, rules: Sequence[Rule],
         ctx = LintContext(source, path, module=module)
     except SyntaxError as exc:
         return [_syntax_error_finding(exc, path, module)]
-    return _run_rules([ctx], rules)
+    return _by_location(_check(ctx, rules))
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
@@ -381,19 +322,16 @@ def lint_paths(paths: Iterable[Union[str, Path]],
                include_foreign: bool = False) -> List[Finding]:
     """Lint every ``.py`` file under ``paths`` with ``rules``.
 
-    All files are parsed before any project-scoped rule runs, so the
-    interprocedural analyses see the whole call graph of the run.
     ``include_foreign`` extends package-scoped rules to files outside
     the ``repro`` tree (the benchmarks/tests lint lane).
     """
-    contexts: List[LintContext] = []
     findings: List[Finding] = []
     for file in iter_python_files(paths):
         source = file.read_text(encoding="utf-8")
         try:
-            contexts.append(LintContext(source, str(file)))
+            ctx = LintContext(source, str(file))
         except SyntaxError as exc:
             findings.append(_syntax_error_finding(exc, str(file), None))
-    findings.extend(_run_rules(contexts, rules, include_foreign))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+            continue
+        findings.extend(_check(ctx, rules, include_foreign))
+    return _by_location(findings)

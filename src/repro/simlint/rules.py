@@ -512,8 +512,6 @@ class WorkerScanInHandler(Rule):
         return "a lambda"
 
 
-from .rules_typestate import TYPESTATE_RULES  # noqa: E402  (needs Rule)
-
 #: The registry walked by the CLI; order is display order.
 ALL_RULES = (
     ModuleMutableIdState(),
@@ -524,7 +522,7 @@ ALL_RULES = (
     EventHandleMisuse(),
     PerEventMetricLookup(),
     WorkerScanInHandler(),
-) + TYPESTATE_RULES
+)
 
 
 def rules_by_id() -> dict:
@@ -532,7 +530,7 @@ def rules_by_id() -> dict:
 
 
 def rule_summary() -> str:
-    """``"11 rules: SL001-SL008, SL013-SL015"`` — derived, never stale."""
+    """``"8 rules: SL001-SL008"`` — derived, never stale."""
     runs: list = []  # [first, last] of each consecutive id run
     for num in sorted(int(rule.id[2:]) for rule in ALL_RULES):
         if runs and num == runs[-1][1] + 1:

@@ -271,6 +271,37 @@ class TestRetries:
         assert call.state is CallState.COMPLETED
         assert call.attempts == 1  # one NACK before success
 
+    def test_retried_call_leaves_inflight_map(self):
+        # A NACKed call belongs to the DurableQ again; a stale in-flight
+        # entry would make _extend_leases renew a lease that another
+        # scheduler may now hold.
+        h = Harness()
+        spec = FunctionSpec(name="f", profile=profile(),
+                            retry_policy=RetryPolicy(max_attempts=3,
+                                                     retry_delay_s=1.0))
+        h.register(spec)
+        call = h.enqueue(spec)
+        shard = h.dqs["r0"][0]
+        sched = h.scheduler
+        original = sched.on_call_finished
+        seen = []
+
+        def fail_first(c, outcome):
+            if not seen:
+                assert c.call_id in sched._inflight
+                leased = shard.leased_count
+                original(c, CallOutcome.ERROR)
+                seen.append((c.call_id in sched._inflight,
+                             leased - shard.leased_count))
+            else:
+                original(c, outcome)
+        for w in h.workers:
+            w.on_finish = fail_first
+        h.sim.run_until(30.0)
+        assert seen == [(False, 1)]
+        assert call.state is CallState.COMPLETED
+        assert sched._inflight == {}
+
     def test_retries_exhausted_fails(self):
         h = Harness()
         spec = FunctionSpec(name="f", profile=profile(),

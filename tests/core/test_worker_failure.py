@@ -42,6 +42,31 @@ class TestWorkerFail:
         assert worker.running_count == 0
         assert worker.cpu.load == pytest.approx(0.0)
 
+    def test_aborted_run_cannot_finish_a_later_run(self):
+        # fail() must cancel every completion event the aborted runs
+        # armed: one left armed would end the call's next run on this
+        # worker at the aborted run's finish time.
+        sim = Simulator(seed=6)
+        finished = []
+        worker = Worker(sim, "w", "r",
+                        on_finish=lambda c, o: finished.append((sim.now, o)))
+        fixed = ResourceProfile(
+            cpu_minstr=LogNormal(mu=math.log(50.0), sigma=0.0),
+            memory_mb=LogNormal(mu=math.log(32.0), sigma=0.0),
+            exec_time_s=LogNormal(mu=math.log(10.0), sigma=0.0))
+        call = FunctionCall(spec=FunctionSpec(name="f", profile=fixed),
+                            submit_time=0.0, start_time=0.0,
+                            region_submitted="r", call_id=_ids.allocate())
+        assert worker.execute(call)
+        sim.run_until(1.0)
+        worker.fail()
+        worker.recover()
+        assert worker.execute(call)  # the retry lands on the same worker
+        sim.run_until(100.0)
+        assert [o for _, o in finished] == [CallOutcome.WORKER_FULL,
+                                            CallOutcome.OK]
+        assert finished[1][0] > 1.0 + 10.0
+
     def test_offline_refuses_admission(self):
         sim = Simulator(seed=2)
         worker = Worker(sim, "w", "r")

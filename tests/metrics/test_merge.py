@@ -185,6 +185,16 @@ class TestRegistryMerge:
         a.merge(self.build(offset=50.0).snapshot())
         assert a.counter("calls.received").total == 6.0
 
+    def test_self_merge_rejected_but_own_snapshot_folds(self):
+        a = self.build()
+        before = a.digest()
+        with pytest.raises(ValueError, match="itself"):
+            a.merge(a)
+        assert a.digest() == before  # the refused merge changed nothing
+        a.merge(a.snapshot())
+        assert a.counter("calls.received").total == 6.0
+        assert len(a.distribution("latency")) == 2
+
 
 class TestRegistryDigest:
     def build(self, latency=1.0):

@@ -167,7 +167,7 @@ class TestDayrunParity:
 
 
 class TestLeaseGuard:
-    """The runtime mirror of SL014: DurableQ reports protocol events
+    """The lease state machine: DurableQ reports protocol events
     and the guard raises on the FSM's error transitions — injected via
     crafted handlers running inside a sanitized simulation."""
 

@@ -244,24 +244,3 @@ class TestDogfood:
         assert default_lint_root().name == "repro"
         assert (default_lint_root() / "simlint").is_dir()
 
-
-class TestParallelJobs:
-    def test_jobs_output_identical_to_serial(self, capsys):
-        # --jobs must be a pure wall-clock knob: same findings, same
-        # order, same exit code as the serial path.
-        serial_rc = lint_main([str(FIXTURES), "--json"])
-        serial = json.loads(capsys.readouterr().out)
-        parallel_rc = lint_main([str(FIXTURES), "--json", "--jobs", "2"])
-        parallel = json.loads(capsys.readouterr().out)
-        assert parallel_rc == serial_rc == 1
-        assert parallel["findings"] == serial["findings"]
-        assert parallel["files_checked"] == serial["files_checked"]
-
-    def test_jobs_reports_syntax_errors_once(self, tmp_path, capsys):
-        bad = tmp_path / "repro" / "core"
-        bad.mkdir(parents=True)
-        (bad / "broken.py").write_text("def f(:\n", encoding="utf-8")
-        lint_main([str(bad), "--json", "--jobs", "2"])
-        doc = json.loads(capsys.readouterr().out)
-        sl000 = [f for f in doc["findings"] if f["rule"] == "SL000"]
-        assert len(sl000) == 1

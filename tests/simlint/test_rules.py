@@ -20,9 +20,6 @@ CASES = {
     "SL006": ("core/bad_sl006.py", 3),
     "SL007": ("core/bad_sl007.py", 4),
     "SL008": ("core/bad_sl008.py", 5),
-    "SL013": ("sim/bad_sl013.py", 6),
-    "SL014": ("core/bad_sl014.py", 6),
-    "SL015": ("metrics/bad_sl015.py", 4),
 }
 
 GOOD = {
@@ -34,9 +31,6 @@ GOOD = {
     "SL006": "core/good_sl006.py",
     "SL007": "core/good_sl007.py",
     "SL008": "core/good_sl008.py",
-    "SL013": "sim/good_sl013.py",
-    "SL014": "core/good_sl014.py",
-    "SL015": "metrics/good_sl015.py",
 }
 
 SUPPRESSED = {
@@ -48,9 +42,6 @@ SUPPRESSED = {
     "SL006": "core/suppressed_sl006.py",
     "SL007": "core/suppressed_sl007.py",
     "SL008": "core/suppressed_sl008.py",
-    "SL013": "sim/suppressed_sl013.py",
-    "SL014": "core/suppressed_sl014.py",
-    "SL015": "metrics/suppressed_sl015.py",
 }
 
 
@@ -111,7 +102,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert sorted(rules_by_id()) == [
             "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
-            "SL008", "SL013", "SL014", "SL015"]
+            "SL008"]
 
     def test_every_rule_documents_itself(self):
         for rule in ALL_RULES:
@@ -125,24 +116,3 @@ class TestRegistry:
         assert {f.rule_id for f in found} == set(CASES)
         assert any(f.severity is Severity.ERROR for f in found)
 
-
-class TestSL013SupersetOfSL006:
-    """The lifecycle pairing: SL013 catches what SL006 provably
-    misses (aliases, helpers, rebinding, non-literal re-arm), and
-    never re-reports SL006's literal patterns."""
-
-    def test_typestate_fixture_is_sl006_clean_but_sl013_hit(self):
-        found = findings_for(CASES["SL013"][0])
-        assert [f for f in found if f.rule_id == "SL006"] == []
-        assert len([f for f in found if f.rule_id == "SL013"]) >= 6
-
-    def test_literal_fixture_is_sl013_clean(self):
-        # Negative delays and literal .cancelled = False stores are
-        # SL006's findings alone — no double-reporting.
-        found = findings_for(CASES["SL006"][0])
-        assert [f for f in found if f.rule_id == "SL013"] == []
-        assert len([f for f in found if f.rule_id == "SL006"]) >= 3
-
-    def test_suppressed_sl006_does_not_resurface_as_sl013(self):
-        found = findings_for(SUPPRESSED["SL006"])
-        assert found == []

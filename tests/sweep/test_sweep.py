@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.metrics import MetricsRegistry
 from repro.scenarios import SCENARIOS
 from repro.sim import derive_seed
 from repro.sweep import (
@@ -161,3 +162,23 @@ class TestAggregation:
         report = sweep_report(results)
         assert report["n_failed"] == 1
         assert report["runs"][3]["error"] == "boom"
+
+    def test_merge_metrics_folds_each_successful_run_once(self):
+        def run(index, label, calls, ok=True):
+            reg = MetricsRegistry()
+            reg.counter("calls.completed").add(float(index), calls)
+            reg.distribution("latency").add(float(calls))
+            return RunResult(index=index, seed=index, label=label, ok=ok,
+                             wall_s=1.0, metrics=reg.snapshot())
+
+        results = [run(0, "a", 3.0), run(1, "a", 5.0), run(2, "b", 7.0),
+                   run(3, "a", 11.0, ok=False)]
+        merged = merge_metrics(results)
+        assert merged.counter("calls.completed").total == 3.0 + 5.0 + 7.0
+        assert len(merged.distribution("latency")) == 3
+        only_a = merge_metrics(results, label="a")
+        assert only_a.counter("calls.completed").total == 3.0 + 5.0
+        assert len(only_a.distribution("latency")) == 2
+        # The inputs are snapshots; folding them leaves them untouched.
+        assert results[0].metrics["counters"] == \
+            run(0, "a", 3.0).metrics["counters"]
