@@ -163,7 +163,14 @@ class Scheduler:
             wd = cong_st.window_dispatches - 1.0
             cong_st.window_dispatches = wd if wd > 0.0 else 0.0
             for bucket in (cong_st.bucket, quota.bucket):
-                cap = bucket.capacity
+                # TokenBucket.capacity inlined, same arithmetic.
+                rate = bucket.rate
+                if rate <= 0:
+                    cap = 0.0
+                else:
+                    cap = rate * bucket.burst_s
+                    if cap < bucket.min_tokens:
+                        cap = bucket.min_tokens
                 if cap < 1.0:
                     cap = 1.0
                 tokens = bucket.tokens + 1.0
@@ -196,8 +203,10 @@ class Scheduler:
         if budget <= 0:
             return
         cap = self.params.per_function_buffer_cap
+        # len(buf._heap) is FuncBuffer.__len__ without its frame: both
+        # scans below run every tick over every buffer and polled call.
         saturated = {name for name, buf in self._buffers.items()
-                     if len(buf) >= cap}
+                     if len(buf._heap) >= cap}
         row = self._traffic_row()
         for src_region, fraction in sorted(row.items()):
             if fraction <= 0:
@@ -215,7 +224,7 @@ class Scheduler:
                 for call in calls:
                     self._buffer_call(call, shard)
                     buf = self._buffers[call.function_name]
-                    if len(buf) >= cap:
+                    if len(buf._heap) >= cap:
                         saturated.add(call.function_name)
 
     #: Minimum fraction of the polling budget always spent on the local

@@ -77,6 +77,14 @@ class WorkerParams:
             raise ValueError("code_load_s must be >= 0")
         if not 0 < self.memory_headroom <= 1:
             raise ValueError("memory_headroom must be in (0, 1]")
+        if not self.cpu_admission_factor > 0:
+            raise ValueError("cpu_admission_factor must be > 0")
+        # A fraction of 0 would refuse every background call forever;
+        # above 1 the background budget would exceed the base budget,
+        # which the WorkerLB's CPU bound takes as the largest.
+        if not 0 < self.background_admission_fraction <= 1:
+            raise ValueError(
+                "background_admission_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -102,6 +110,12 @@ class Worker:
     life; without one it gets a single-row store of its own.  Given
     ``index`` as well, the worker becomes the view of that existing
     cold row and leaves its columns as they are.
+
+    Subclass contract: an override of :meth:`can_admit` may add
+    refusals to the base admission (as :class:`ElasticWorker` does) but
+    never admit a call the base refuses.  The WorkerLB's speed-1 CPU
+    bound refuses probes without calling :meth:`execute` and relies on
+    this.
     """
 
     __slots__ = (
@@ -299,13 +313,14 @@ class Worker:
             self._finish_now(call, CallOutcome.ISOLATION_DENIED)
             return True  # terminal: do not retry elsewhere
         if type(self) is Worker:
-            # Fused base-class admission: the WorkerLB probes ~20×
-            # more calls than it places, so the can_admit body is
-            # inlined here — same checks, same arithmetic, same RNG
-            # draw order (resources first), minus the method call and
-            # the _admit_cache round-trip.  Subclasses that override
-            # can_admit (e.g. ElasticWorker) take the virtual path in
-            # the else branch.
+            # Fused base-class admission: every WorkerLB probe that
+            # its speed-1 CPU bound does not refuse lands here (on the
+            # seed-7 dayrun ~1.3 per placed call, of ~24 probes), so
+            # the can_admit body is inlined here — same checks, same
+            # arithmetic, same RNG draw order (resources first), minus
+            # the method call and the _admit_cache round-trip.
+            # Subclasses that override can_admit (e.g. ElasticWorker)
+            # take the virtual path in the else branch.
             arr = self._arrays
             i = self._index
             if not arr.online[i]:

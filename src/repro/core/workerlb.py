@@ -12,6 +12,19 @@ Since the struct-of-arrays refactor the hot loop never touches a
 :class:`~repro.core.workerarrays.WorkerArrays`, the two-choices draws
 pick indices, and both load-score probes read flat columns.  The first
 admission probe of a cold row builds its view.
+
+Most probes on a saturated fleet refuse on CPU, so the probe loop
+refuses the hopeless ones before entering ``Worker.execute``.  Once the
+call's resources are drawn (by its first probe) and it passes the
+isolation check, a row whose ``cpu_load`` plus the call's load at JIT
+speed 1 exceeds the worker's base CPU budget is refused with the one
+side effect a refused ``execute`` has: ``admission_rejections += 1``.
+The bound is exact, not a heuristic.  JIT speed is at most 1, and IEEE
+division and addition are monotone under rounding, so the real CPU load
+is at least the speed-1 load.  The base budget is the largest budget a
+call can get, because ``background_admission_fraction`` is at most 1.
+A subclass only adds refusals to the base admission (the ``Worker``
+contract), so every row the bound refuses, ``execute`` refuses too.
 """
 
 from __future__ import annotations
@@ -111,6 +124,9 @@ class WorkerLB:
         cores = arr.cores
         memory_mb = arr.memory_mb
         views = arr.views
+        # An isolation-denied call ends terminally in execute(); the
+        # bound below must never pre-empt that.
+        flow_ok = call.source_level <= call.spec.isolation_level
         pool = candidates
         spilled = False
         while True:
@@ -161,6 +177,17 @@ class WorkerLB:
                 worker = views[idx]
                 if worker is None:
                     worker = arr.view(idx)
+                res = call.resources
+                if res is not None and flow_ok:
+                    # The speed-1 CPU bound (module docstring): a row
+                    # that refuses the call even at full JIT speed is
+                    # refused here, with the one side effect a refused
+                    # execute() has.
+                    cpu_s = res[0] / worker.machine.core_mips
+                    c1 = 1.0 if cpu_s >= res[2] else cpu_s / res[2]
+                    if cpu_load[idx] + c1 > worker._cpu_budget:
+                        worker.admission_rejections += 1
+                        continue
                 if worker.execute(call):
                     self.dispatch_count += 1
                     if spilled:

@@ -151,6 +151,24 @@ class TestAdmission:
         assert worker.isolation_rejections == 1
         assert done == [CallOutcome.ISOLATION_DENIED]
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0])
+    def test_cpu_admission_factor_must_be_positive(self, factor):
+        with pytest.raises(ValueError, match="cpu_admission_factor"):
+            WorkerParams(cpu_admission_factor=factor)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.01])
+    def test_background_fraction_must_be_in_unit_interval(self, fraction):
+        # 0 would refuse every background call forever; above 1 the
+        # background budget would exceed the base budget.
+        with pytest.raises(ValueError,
+                           match="background_admission_fraction"):
+            WorkerParams(background_admission_fraction=fraction)
+
+    def test_admission_knob_edges_accepted(self):
+        params = WorkerParams(cpu_admission_factor=0.5,
+                              background_admission_fraction=1.0)
+        assert params.background_admission_fraction == 1.0
+
 
 class TestResidency:
     def test_lru_eviction_under_budget(self):

@@ -1,11 +1,14 @@
 """Tests for WorkerLB power-of-two dispatch and the Locality Optimizer."""
 
 import math
+import random
+from array import array
 
 import pytest
 
 from repro.cluster import MachineSpec
 from repro.core import (
+    CodeVersion,
     ConfigStore,
     FunctionCall,
     LocalityOptimizer,
@@ -13,10 +16,18 @@ from repro.core import (
     Worker,
     WorkerArrays,
     WorkerLB,
+    WorkerParams,
 )
 from repro.core.call import CallIdAllocator
+from repro.core.elastic import ElasticWorker
 from repro.sim import Simulator
-from repro.workloads import FunctionSpec, LogNormal, ResourceProfile
+from repro.workloads import (
+    Criticality,
+    FunctionSpec,
+    LogNormal,
+    QuotaType,
+    ResourceProfile,
+)
 
 
 def profile(mem=64.0):
@@ -113,6 +124,154 @@ class TestWorkerLB:
         assert lb.free_threads() == 8
         lb.dispatch(make_call(sim))
         assert lb.free_threads() == 7
+
+
+class TestSpeedOneCpuBound:
+    """The probe loop refuses a row without entering ``Worker.execute``
+    only where ``execute`` itself would refuse, and without side effects
+    beyond the refusal count."""
+
+    #: Mixed hardware in one store: the bound must read each row's own
+    #: core speed and budget.  A factor of 1.0 makes budgets whole
+    #: numbers, so CPU-bound loads (exactly 1.0 each) tie with them.
+    MACHINES = (MachineSpec(cores=1, core_mips=500, threads=4),
+                MachineSpec(cores=2, core_mips=1000, threads=8),
+                MachineSpec(cores=4, core_mips=2500, threads=16))
+    PARAMS = (WorkerParams(),
+              WorkerParams(cpu_admission_factor=1.0),
+              WorkerParams(cpu_admission_factor=1.0,
+                           background_admission_fraction=0.5))
+
+    def _pool(self, sim):
+        store = WorkerArrays()
+        workers = []
+        for i in range(12):
+            kind = ElasticWorker if i % 4 == 3 else Worker
+            workers.append(kind(
+                sim, f"w{i}", "r", machine=self.MACHINES[i % 3],
+                params=self.PARAMS[(i // 3) % 3], arrays=store))
+        return store, workers
+
+    @staticmethod
+    def _call(sim, rnd, drawn):
+        spec = FunctionSpec(
+            name=f"f{rnd.randrange(6)}",
+            quota_type=rnd.choice(tuple(QuotaType)),
+            criticality=rnd.choice(tuple(Criticality)),
+            isolation_level=rnd.choice((0, 0, 0, 1)),
+            profile=profile())
+        resources = None
+        if drawn:
+            exec_s = rnd.choice((0.05, 0.5, 2.0, 20.0))
+            if rnd.random() < 0.6:
+                # CPU-bound at least on the slowest rows.
+                cpu = 500 * exec_s * rnd.choice((1, 1, 2, 5.5))
+            else:
+                cpu = rnd.uniform(1.0, 400.0) * exec_s
+            resources = (cpu, rnd.choice((8.0, 64.0, 512.0)), exec_s)
+        return FunctionCall(spec=spec, submit_time=sim.now,
+                            start_time=sim.now, region_submitted="r",
+                            source_level=rnd.choice((0, 0, 0, 2)),
+                            call_id=_ids.allocate(), resources=resources)
+
+    @staticmethod
+    def _row(store, i):
+        return store.running[i], store.cpu_load[i], store.mem_mb[i]
+
+    @staticmethod
+    def _probe(lb, idx, call):
+        # A one-row pool and no spill: dispatch probes exactly row idx
+        # and draws nothing.
+        lb._rebuild_groups()
+        lb._groups = {0: array("l", [idx])}
+        lb._all_idx = range(1)
+        return lb.dispatch(call)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bound_refuses_only_what_execute_refuses(self, seed,
+                                                     monkeypatch):
+        entered = []
+        real_execute = Worker.execute
+
+        def counting_execute(self, call):
+            entered.append(call.call_id)
+            return real_execute(self, call)
+
+        monkeypatch.setattr(Worker, "execute", counting_execute)
+        sim = Simulator(seed=seed)
+        rnd = random.Random(seed)
+        store, workers = self._pool(sim)
+        lb = WorkerLB(sim, "r", store, group_of_function=lambda f: 0,
+                      n_groups_fn=lambda: 1)
+        fired = ties_admitted = isolation_over_budget = 0
+        for _ in range(3000):
+            roll = rnd.random()
+            w = rnd.choice(workers)
+            if roll < 0.03:
+                sim.run_until(sim.now + rnd.uniform(0.0, 40.0))
+            elif roll < 0.05:
+                # JIT ramps: an unseeded restart after an outage, or
+                # after a code update.
+                if rnd.random() < 0.5:
+                    w.fail()
+                    w.recover()
+                else:
+                    w.adopt_version(CodeVersion(
+                        version=w.code_version.version + 1,
+                        released_at=sim.now), seeded=False)
+            elif roll < 0.07:
+                if isinstance(w, ElasticWorker) and w.available:
+                    w.reclaim()
+                elif isinstance(w, ElasticWorker):
+                    w.grant()
+                elif w.online:
+                    w.fail()
+                else:
+                    w.recover()
+            elif roll < 0.3:
+                # Load a row directly (CPU-bound on the whole-number
+                # budgets, so their loads stay whole and ties occur).
+                call = self._call(sim, rnd, drawn=True)
+                if w.params.cpu_admission_factor == 1.0:
+                    call.resources = (5000.0 * 20.0, 8.0, 20.0)
+                call.source_level = 0
+                real_execute(w, call)
+            else:
+                call = self._call(sim, rnd, drawn=rnd.random() < 0.9)
+                i = w._index
+                before = self._row(store, i)
+                rejections = w.admission_rejections
+                n_entered = len(entered)
+                res = call.resources
+                c1 = None
+                if res is not None:
+                    cpu_s = res[0] / w.machine.core_mips
+                    c1 = 1.0 if cpu_s >= res[2] else cpu_s / res[2]
+                tie = (c1 is not None and
+                       store.cpu_load[i] + c1 == w._cpu_budget)
+                over = (c1 is not None and
+                        store.cpu_load[i] + c1 > w._cpu_budget)
+                placed = self._probe(lb, i, call)
+                if len(entered) == n_entered:
+                    fired += 1
+                    assert res is not None
+                    assert not placed
+                    assert w.admission_rejections == rejections + 1
+                    assert self._row(store, i) == before
+                    assert not real_execute(w, call), \
+                        "the bound refused a call execute admits"
+                    assert self._row(store, i) == before
+                elif placed and tie and call.worker_name == w.name:
+                    ties_admitted += 1
+                elif over and call.source_level > call.spec.isolation_level:
+                    isolation_over_budget += 1
+                    assert placed
+        # The run covers the cases a wrong bound would get wrong: a
+        # ">=" refuses the ties execute admits, and a bound without the
+        # isolation guard pre-empts the terminal isolation denial.
+        assert fired > 200
+        assert ties_admitted > 0
+        assert isolation_over_budget > 0
 
 
 class TestLocalityOptimizer:

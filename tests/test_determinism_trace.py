@@ -10,6 +10,8 @@ call trace; a third run with a different seed must diverge.
 
 import hashlib
 import math
+import re
+from pathlib import Path
 
 from repro import (
     FunctionSpec,
@@ -130,6 +132,44 @@ class TestQuickDayrunDigestPin:
             # must not notice.
             metrics.distribution("worker.memory_mb").percentile(50)
             assert metrics.digest() == QUICK_DAYRUN_METRICS_DIGEST
+
+
+#: Per-worker ``admission_rejections`` and ``calls_started`` of the quick
+#: dayrun, in ``platform.all_workers`` order.  Neither digest covers
+#: them, and the WorkerLB's CPU bound refuses most probes without
+#: entering ``Worker.execute``, so this pins the refusal accounting.
+QUICK_DAYRUN_ADMISSION_REJECTIONS = (
+    8930, 8851, 16526, 1309, 1332, 2656, 1502, 1527, 17124, 11174, 11798,
+    19870, 16229)
+QUICK_DAYRUN_CALLS_STARTED = (
+    334, 294, 845, 262, 101, 653, 492, 331, 705, 398, 298, 880, 805)
+
+
+class TestQuickDayrunRefusalAccountingPin:
+    def test_per_worker_refusals_and_starts_match_pins(self):
+        from repro.scenarios import build_dayrun
+        workers = build_dayrun(horizon_s=600.0).platform.all_workers
+        assert tuple(w.admission_rejections for w in workers) == \
+            QUICK_DAYRUN_ADMISSION_REJECTIONS
+        assert tuple(w.calls_started for w in workers) == \
+            QUICK_DAYRUN_CALLS_STARTED
+
+
+class TestCiDigestPins:
+    """The CI profile smokes pass the quick-dayrun pins on the command
+    line; a re-pin that misses one of them fails here, not in CI."""
+
+    CI_YML = (Path(__file__).resolve().parents[1] / ".github" /
+              "workflows" / "ci.yml")
+
+    def test_ci_expect_digests_equal_the_test_pins(self):
+        text = self.CI_YML.read_text()
+        trace = re.findall(r"--expect-digest\s+(\S+)", text)
+        metrics = re.findall(r"--expect-metrics-digest\s+(\S+)", text)
+        # The profile and alloc-profile smokes carry one of each.
+        assert len(trace) == 2 and len(metrics) == 2
+        assert set(trace) == {QUICK_DAYRUN_DIGEST}
+        assert set(metrics) == {QUICK_DAYRUN_METRICS_DIGEST}
 
 
 class TestFleetrunMetricsDigestPin:
