@@ -9,15 +9,20 @@ admitted a tick later.
 Its length is the scheduler's flow-control signal: a RunQ near capacity
 slows both FuncBuffer→RunQ movement and DurableQ polling, so backlog
 accumulates in the durable store rather than in scheduler memory.
+
+The heap holds FuncBuffer entries as they are (layout in
+:mod:`repro.core.funcbuffer`): the scheduler parks a call by pushing
+the entry it popped from the call's buffer, re-parks a refused call's
+entry unchanged, and recycles an entry back into its buffer.  Those
+pushes and pops live in the scheduler's per-tick loops, which keep
+``len(_heap) <= capacity``; this class holds the heap and its bound.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import List, Optional, Tuple
+from typing import List
 
-from .call import CallState, FunctionCall
+from .funcbuffer import BufferEntry
 
 
 class RunQ:
@@ -27,41 +32,10 @@ class RunQ:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._heap: List[Tuple[tuple, int, FunctionCall]] = []
-        self._seq = itertools.count()
+        self._heap: List[BufferEntry] = []
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    @property
-    def free_space(self) -> int:
-        return max(0, self.capacity - len(self._heap))
-
-    @property
-    def full(self) -> bool:
-        return len(self._heap) >= self.capacity
-
-    def push(self, call: FunctionCall) -> None:
-        if self.full:
-            raise OverflowError("RunQ is full (flow control should prevent this)")
-        call.state = CallState.RUNNABLE
-        heapq.heappush(self._heap, (call.sort_key(), next(self._seq), call))
-
-    def pop(self) -> Optional[FunctionCall]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    def push_front(self, call: FunctionCall) -> None:
-        """Return a call the WorkerLB could not place.
-
-        In a priority queue this is just a push — the call keeps its
-        priority and will be retried in order.
-        """
-        heapq.heappush(self._heap, (call.sort_key(), next(self._seq), call))
-
-    def peek(self) -> Optional[FunctionCall]:
-        return self._heap[0][2] if self._heap else None
 
     def fill_fraction(self) -> float:
         return len(self._heap) / self.capacity

@@ -33,7 +33,7 @@ from .call import CallOutcome, CallState, FunctionCall
 from .config import CachedConfig, ConfigStore
 from .congestion import CongestionController
 from .durableq import DurableQ
-from .funcbuffer import FuncBuffer
+from .funcbuffer import BufferEntry, FuncBuffer
 from .ratelimiter import CentralRateLimiter
 from .runq import RunQ
 from .workerlb import WorkerLB
@@ -43,9 +43,9 @@ S_MULTIPLIER_KEY = "utilization/S"
 
 DoneCallback = Callable[[FunctionCall, CallOutcome], None]
 
-#: Head-key extractor for the per-pass buffer ordering (head keys embed
-#: the unique call id, so ties — and a comparison falling through to the
-#: FuncBuffer operand — cannot occur).
+#: Head-key extractor for the per-pass buffer ordering (head entries
+#: embed the unique call id, so ties — and a comparison falling through
+#: to the call or the FuncBuffer operand — cannot occur).
 _HEAD_KEY = operator.itemgetter(0)
 
 
@@ -74,6 +74,14 @@ class SchedulerParams:
             raise ValueError("poll_interval_s must be positive")
         if self.runq_capacity < 1 or self.buffer_capacity < 1:
             raise ValueError("capacities must be >= 1")
+        # Each of these stalls a run in silence: no call is ever polled,
+        # no call is ever buffered, or the lease timer cannot be armed.
+        if self.poll_batch_max < 1:
+            raise ValueError("poll_batch_max must be >= 1")
+        if self.per_function_buffer_cap < 1:
+            raise ValueError("per_function_buffer_cap must be >= 1")
+        if not self.lease_extension_interval_s > 0:
+            raise ValueError("lease_extension_interval_s must be positive")
 
 
 class Scheduler:
@@ -141,17 +149,20 @@ class Scheduler:
         self._schedule_pass()
 
     def _recycle_runq(self) -> None:
-        # Recycling runs once per tick over every parked call — _demote
-        # is inlined here against the memoized gate states (same pair
-        # the dispatch pass resolves), saving three lookups per call.
-        runq_pop = self.runq.pop
+        # Recycling runs once per tick over every parked call.  Each
+        # RunQ entry goes back into its FuncBuffer's heap as it is (the
+        # two heaps share one entry layout, funcbuffer.py), and _demote
+        # is inlined against the memoized gate states (same pair the
+        # dispatch pass resolves), saving three lookups per call.
+        heap = self.runq._heap
+        heappop_ = heapq.heappop
+        heappush_ = heapq.heappush
         gate_states = self._gate_states
         buffers = self._buffers
         buffered = CallState.BUFFERED
-        while True:
-            call = runq_pop()
-            if call is None:
-                break
+        while heap:
+            entry = heappop_(heap)
+            call = entry[3]
             name = call.spec.name
             gates = gate_states.get(name)
             if gates is None:
@@ -179,7 +190,7 @@ class Scheduler:
             buffer = buffers.get(name)
             if buffer is None:
                 buffer = buffers[name] = FuncBuffer(name)
-            buffer.push(call)
+            heappush_(buffer._heap, entry)
             self._buffered_total += 1
 
     def kick(self) -> None:
@@ -293,10 +304,10 @@ class Scheduler:
         """
         now = self.sim._now
         s_mult = float(self._s_multiplier.value)
-        # Order buffers by their head call's (criticality, deadline) key
-        # (heap internals read directly: this runs for every buffer,
-        # empty or not, every tick).
-        heads = sorted(((buf._heap[0][0], buf)
+        # Order buffers by their head entry, whose leading slots are the
+        # head call's sort key (heap internals read directly: this runs
+        # for every buffer, empty or not, every tick).
+        heads = sorted(((buf._heap[0], buf)
                         for buf in self._buffers.values() if buf._heap),
                        key=_HEAD_KEY)
         if not heads:
@@ -306,10 +317,13 @@ class Scheduler:
         can_dispatch_state = congestion.can_dispatch_state
         try_acquire = self.rate_limiter.try_acquire_quota
         dispatch = self.workerlb.dispatch
-        runq = self.runq
+        # Parking pushes the popped buffer entry onto the RunQ heap, up
+        # to PARK_LIMIT calls and never past the RunQ's capacity.
+        runq_heap = self.runq._heap
+        park_cap = min(self.PARK_LIMIT, self.runq.capacity)
         heappop_ = heapq.heappop
+        heappush_ = heapq.heappush
         drop_expired = self.params.drop_expired
-        park_limit = self.PARK_LIMIT
         lookahead = self.PLACEMENT_LOOKAHEAD
         gate_states = self._gate_states
         for _, buffer in heads:
@@ -329,10 +343,10 @@ class Scheduler:
             # order: flow first, then deadline; finalize before pop.
             heap = buffer._heap
             placement_failures = 0
-            deferred: List[FunctionCall] = []
+            deferred: List[BufferEntry] = []
             while heap:
                 head = heap[0]
-                call = head[1]
+                call = head[3]
                 spec = call.spec
                 if call.source_level > spec.isolation_level:
                     self.isolation_denials += 1
@@ -340,9 +354,9 @@ class Scheduler:
                     heappop_(heap)
                     self._buffered_total -= 1
                     continue  # terminal; next call
-                # head[0][1] is the memoized sort key's deadline term —
-                # exactly start_time + spec.deadline_s.
-                if drop_expired and now > head[0][1]:
+                # head[1] is the entry's deadline slot — exactly
+                # start_time + spec.deadline_s.
+                if drop_expired and now > head[1]:
                     self.expired_count += 1
                     self._finalize(call, CallOutcome.ERROR, expired=True)
                     heappop_(heap)
@@ -367,22 +381,23 @@ class Scheduler:
                 # for kick() to dispatch the moment a worker frees (it
                 # keeps its gate token; the next tick's recycle refunds
                 # it otherwise).
-                if not runq.full and len(runq) < park_limit:
+                if len(runq_heap) < park_cap:
                     call.state = CallState.RUNNABLE
-                    runq.push(call)
+                    heappush_(runq_heap, head)
                     continue
                 # Pipeline full: refund and look a bounded number of
                 # calls past the (likely oversized) head before moving
                 # on.
                 placement_failures += 1
-                deferred.append(call)
+                deferred.append(head)
                 if placement_failures > lookahead:
                     break
             if deferred:
                 # Inlined _demote on the already-resolved gate states:
-                # every deferred call belongs to this buffer's function.
+                # every deferred call belongs to this buffer's function,
+                # and its popped heap entry goes back as it is.
                 buckets = (cong_st.bucket, quota.bucket)
-                for call in deferred:
+                for head in deferred:
                     if cong_st.running > 0:
                         cong_st.running -= 1
                     wd = cong_st.window_dispatches - 1.0
@@ -393,9 +408,9 @@ class Scheduler:
                             cap = 1.0
                         tokens = bucket.tokens + 1.0
                         bucket.tokens = tokens if tokens < cap else cap
-                    call.state = CallState.BUFFERED
-                    buffer.push(call)
-                    self._buffered_total += 1
+                    head[3].state = CallState.BUFFERED
+                    heappush_(heap, head)
+                self._buffered_total += len(deferred)
 
     # ------------------------------------------------------------------
     # Step 3: RunQ → WorkerLB
@@ -404,22 +419,25 @@ class Scheduler:
         # kick() path: dispatch parked pipeline calls into freed worker
         # slots.  Refused calls are *re-parked* (they keep their place
         # and tokens until the next tick's recycle); a bounded number of
-        # misses keeps the completion path cheap.
+        # misses keeps the completion path cheap.  A refused call's
+        # entry goes back onto the RunQ heap as it is.
+        heap = self.runq._heap
+        heappop_ = heapq.heappop
+        dispatch = self.workerlb.dispatch
         refused = []
         misses = 0
-        while misses < 8:
-            call = self.runq.pop()
-            if call is None:
-                break
+        while misses < 8 and heap:
+            entry = heappop_(heap)
+            call = entry[3]
             call.state = CallState.RUNNING
-            if self.workerlb.dispatch(call):
+            if dispatch(call):
                 self.dispatched_count += 1
             else:
                 call.state = CallState.RUNNABLE
-                refused.append(call)
+                refused.append(entry)
                 misses += 1
-        for call in refused:
-            self.runq.push_front(call)
+        for entry in refused:
+            heapq.heappush(heap, entry)
 
     def _demote(self, call: FunctionCall) -> None:
         name = call.function_name

@@ -13,18 +13,31 @@ Since the struct-of-arrays refactor the hot loop never touches a
 pick indices, and both load-score probes read flat columns.  The first
 admission probe of a cold row builds its view.
 
-Most probes on a saturated fleet refuse on CPU, so the probe loop
-refuses the hopeless ones before entering ``Worker.execute``.  Once the
-call's resources are drawn (by its first probe) and it passes the
-isolation check, a row whose ``cpu_load`` plus the call's load at JIT
-speed 1 exceeds the worker's base CPU budget is refused with the one
-side effect a refused ``execute`` has: ``admission_rejections += 1``.
-The bound is exact, not a heuristic.  JIT speed is at most 1, and IEEE
+Most probes on a saturated fleet refuse on CPU, so ``dispatch`` refuses
+the hopeless ones before entering ``Worker.execute``.  Once the call's
+resources are drawn (by its first probe) and it passes the isolation
+check, a drawn row whose ``cpu_load`` plus the call's load at JIT speed
+1 exceeds the worker's base CPU budget is refused with the one side
+effect a refused ``execute`` has: ``admission_rejections += 1``.  The
+bound is exact, not a heuristic.  JIT speed is at most 1, and IEEE
 division and addition are monotone under rounding, so the real CPU load
 is at least the speed-1 load.  The base budget is the largest budget a
 call can get, because ``background_admission_fraction`` is at most 1.
 A subclass only adds refusals to the base admission (the ``Worker``
 contract), so every row the bound refuses, ``execute`` refuses too.
+The bound is therefore only a shortcut: a row it does not judge (a
+cold row, whose view is not built to judge it, or any row while the
+call's resources are undrawn) goes to ``execute``, which refuses it
+the same way.
+
+Each pass draws first and judges second.  The extra-probe draws do not
+depend on the load scores, so drawing both choices and the extras
+before scoring consumes the same ``getrandbits`` sequence.  The bound
+then judges every drawn row that has a view, once.  When it refuses all
+of them, each gets its refusal and the load scores and probe order are
+skipped: all of them refuse, so their order cannot matter, and no view
+is built.  Otherwise the pass scores the two choices and probes in
+order, refusing the judged rows as it reaches them.
 """
 
 from __future__ import annotations
@@ -148,24 +161,7 @@ class WorkerLB:
                     while r >= n:
                         r = getrandbits(k)
                     b = pool[r]
-                # Worker.load_score() inlined for both probes (identical
-                # arithmetic on the flat columns; no subclass overrides
-                # it).
-                sa = running[a] / threads[a]
-                x = cpu_load[a] / cores[a]
-                if x > sa:
-                    sa = x
-                x = mem_mb[a] / memory_mb[a]
-                if x > sa:
-                    sa = x
-                sb = running[b] / threads[b]
-                x = cpu_load[b] / cores[b]
-                if x > sb:
-                    sb = x
-                x = mem_mb[b] / memory_mb[b]
-                if x > sb:
-                    sb = x
-                order = [a, b] if sa <= sb else [b, a]
+                order = [a, b]
                 for _ in range(extra_probes):
                     r = getrandbits(k)
                     while r >= n:
@@ -173,26 +169,61 @@ class WorkerLB:
                     extra = pool[r]
                     if extra not in order:
                         order.append(extra)
-            for idx in order:
-                worker = views[idx]
-                if worker is None:
-                    worker = arr.view(idx)
-                res = call.resources
-                if res is not None and flow_ok:
-                    # The speed-1 CPU bound (module docstring): a row
-                    # that refuses the call even at full JIT speed is
-                    # refused here, with the one side effect a refused
-                    # execute() has.
-                    cpu_s = res[0] / worker.machine.core_mips
-                    c1 = 1.0 if cpu_s >= res[2] else cpu_s / res[2]
-                    if cpu_load[idx] + c1 > worker._cpu_budget:
-                        worker.admission_rejections += 1
+            # The speed-1 CPU bound (module docstring): the drawn rows,
+            # among those with a view, that refuse the call even at full
+            # JIT speed.  Each is refused with the one side effect a
+            # refused execute() has.
+            hopeless = []
+            res = call.resources
+            if res is not None and flow_ok:
+                cpu_minstr = res[0]
+                exec_s = res[2]
+                for idx in order:
+                    worker = views[idx]
+                    if worker is not None:
+                        cpu_s = cpu_minstr / worker.machine.core_mips
+                        c1 = 1.0 if cpu_s >= exec_s else cpu_s / exec_s
+                        if cpu_load[idx] + c1 > worker._cpu_budget:
+                            hopeless.append(idx)
+            if len(hopeless) == len(order):
+                # The draws-only refusal: every drawn row refuses, so
+                # their order cannot matter and nothing is scored.
+                for idx in order:
+                    views[idx].admission_rejections += 1
+            else:
+                if n > 1:
+                    # Worker.load_score() inlined for both probes
+                    # (identical arithmetic on the flat columns; no
+                    # subclass overrides it).
+                    sa = running[a] / threads[a]
+                    x = cpu_load[a] / cores[a]
+                    if x > sa:
+                        sa = x
+                    x = mem_mb[a] / memory_mb[a]
+                    if x > sa:
+                        sa = x
+                    sb = running[b] / threads[b]
+                    x = cpu_load[b] / cores[b]
+                    if x > sb:
+                        sb = x
+                    x = mem_mb[b] / memory_mb[b]
+                    if x > sb:
+                        sb = x
+                    if not sa <= sb:
+                        order[0] = b
+                        order[1] = a
+                for idx in order:
+                    if idx in hopeless:
+                        views[idx].admission_rejections += 1
                         continue
-                if worker.execute(call):
-                    self.dispatch_count += 1
-                    if spilled:
-                        self.out_of_group_dispatches += 1
-                    return True
+                    worker = views[idx]
+                    if worker is None:
+                        worker = arr.view(idx)
+                    if worker.execute(call):
+                        self.dispatch_count += 1
+                        if spilled:
+                            self.out_of_group_dispatches += 1
+                        return True
             if spilled or len(candidates) >= len(all_idx):
                 self.reject_count += 1
                 return False

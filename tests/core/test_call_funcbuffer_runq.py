@@ -6,6 +6,8 @@ from repro.core import FuncBuffer, FunctionCall, RunQ
 from repro.core.call import CallIdAllocator, CallState
 from repro.workloads import Criticality, FunctionSpec
 
+from .parkrig import ParkRig
+
 
 _ids = CallIdAllocator()
 
@@ -88,40 +90,52 @@ class TestFuncBuffer:
 
 
 class TestRunQ:
+    """The RunQ is pushed and popped by the scheduler's park, drain and
+    recycle paths only, so these drive it through them."""
+
     def test_fifo(self):
-        q = RunQ(capacity=10)
-        a, b = make_call(), make_call()
-        q.push(a)
-        q.push(b)
-        assert q.pop() is a
-        assert q.pop() is b
-        assert q.pop() is None
+        # Equal priority: the earlier call id leaves first, whichever
+        # parked first.
+        rig = ParkRig()
+        a, b = rig.call(name="g"), rig.call(name="f")
+        rig.park(b)
+        rig.park(a)
+        assert rig.drain(accepts=2) == [a, b]
+        assert rig.drain(accepts=1) == []
 
     def test_push_sets_state(self):
-        q = RunQ()
-        call = make_call()
-        q.push(call)
+        rig = ParkRig()
+        call = rig.call()
+        rig.park(call)
+        assert rig.parked() == [call]
         assert call.state is CallState.RUNNABLE
 
     def test_capacity_enforced(self):
-        q = RunQ(capacity=1)
-        q.push(make_call())
-        assert q.full
-        with pytest.raises(OverflowError):
-            q.push(make_call())
+        # A full RunQ parks nothing more: the rest go back to their
+        # buffer, gate tokens refunded.
+        rig = ParkRig(runq_capacity=1)
+        calls = [rig.call() for _ in range(3)]
+        rig.park(*calls)
+        assert rig.parked() == [calls[0]]
+        assert rig.scheduler.buffered_count == 2
+        assert [c.state for c in calls[1:]] == [CallState.BUFFERED] * 2
 
     def test_push_front_preserves_order(self):
-        q = RunQ()
-        a, b = make_call(), make_call()
-        q.push(b)
-        q.push_front(a)
-        assert q.pop() is a
+        # A call the drain could not place is re-parked and keeps its
+        # place ahead of an equal-priority call parked after it.
+        rig = ParkRig()
+        a, b = rig.call(name="g"), rig.call(name="f")
+        rig.park(a)
+        assert rig.drain(accepts=0) == []
+        assert a.state is CallState.RUNNABLE
+        rig.park(b)
+        assert rig.drain(accepts=2) == [a, b]
 
     def test_fill_fraction(self):
-        q = RunQ(capacity=4)
-        q.push(make_call())
-        assert q.fill_fraction() == 0.25
-        assert q.free_space == 3
+        rig = ParkRig(runq_capacity=4)
+        rig.park(rig.call())
+        assert rig.scheduler.runq.fill_fraction() == 0.25
+        assert len(rig.scheduler.runq) == 1
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

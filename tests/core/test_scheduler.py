@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.cluster import MachineSpec
 from repro.core import (
     S_MULTIPLIER_KEY,
@@ -338,3 +340,30 @@ class TestCrossRegion:
         call = h.enqueue(spec, region="r1")
         h.sim.run_until(10.0)
         assert call.state is CallState.QUEUED  # nobody pulls r1
+
+
+class TestSchedulerParams:
+    """Values that would stall a run without a word are refused."""
+
+    @pytest.mark.parametrize("poll_batch_max", [0, -1])
+    def test_poll_batch_max_below_one_rejected(self, poll_batch_max):
+        # 0 polls nothing: no call ever leaves the DurableQs.
+        with pytest.raises(ValueError, match="poll_batch_max"):
+            SchedulerParams(poll_batch_max=poll_batch_max)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_per_function_buffer_cap_below_one_rejected(self, cap):
+        # 0 marks every function saturated, so polling skips them all.
+        with pytest.raises(ValueError, match="per_function_buffer_cap"):
+            SchedulerParams(per_function_buffer_cap=cap)
+
+    @pytest.mark.parametrize("interval", [0.0, -60.0, math.nan])
+    def test_non_positive_lease_extension_interval_rejected(self, interval):
+        # Raised here, not by the kernel from inside Scheduler.__init__.
+        with pytest.raises(ValueError, match="lease_extension_interval_s"):
+            SchedulerParams(lease_extension_interval_s=interval)
+
+    def test_smallest_valid_values_accepted(self):
+        p = SchedulerParams(poll_batch_max=1, per_function_buffer_cap=1,
+                            lease_extension_interval_s=1e-3)
+        assert p.poll_batch_max == 1

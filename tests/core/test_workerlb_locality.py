@@ -274,6 +274,240 @@ class TestSpeedOneCpuBound:
         assert isolation_over_budget > 0
 
 
+def _scored_dispatch(lb, call):
+    """``WorkerLB.dispatch`` without the draws-only refusal, frozen.
+
+    Every draw is scored and probed in order; the speed-1 bound refuses
+    inside the probe loop.  The equivalence test below runs the live
+    ``dispatch`` against this copy.
+    """
+    arr = lb.arrays
+    if arr.group_epoch != lb._epoch:
+        lb._rebuild_groups()
+    all_idx = lb._all_idx
+    candidates = lb._groups.get(lb.group_of_function(call.spec.name)) \
+        or all_idx
+    getrandbits = lb._getrandbits
+    running, cpu_load, mem_mb = arr.running, arr.cpu_load, arr.mem_mb
+    threads, cores, memory_mb = arr.threads, arr.cores, arr.memory_mb
+    views = arr.views
+    flow_ok = call.source_level <= call.spec.isolation_level
+    pool = candidates
+    spilled = False
+    while True:
+        n = len(pool)
+        if n == 1:
+            order = [pool[0]]
+        else:
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            a = pool[r]
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            b = pool[r]
+            while b == a:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                b = pool[r]
+            sa = max(running[a] / threads[a], cpu_load[a] / cores[a],
+                     mem_mb[a] / memory_mb[a])
+            sb = max(running[b] / threads[b], cpu_load[b] / cores[b],
+                     mem_mb[b] / memory_mb[b])
+            order = [a, b] if sa <= sb else [b, a]
+            for _ in range(lb.extra_probes):
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                extra = pool[r]
+                if extra not in order:
+                    order.append(extra)
+        for idx in order:
+            worker = views[idx]
+            if worker is None:
+                worker = arr.view(idx)
+            res = call.resources
+            if res is not None and flow_ok:
+                cpu_s = res[0] / worker.machine.core_mips
+                c1 = 1.0 if cpu_s >= res[2] else cpu_s / res[2]
+                if cpu_load[idx] + c1 > worker._cpu_budget:
+                    worker.admission_rejections += 1
+                    continue
+            if worker.execute(call):
+                lb.dispatch_count += 1
+                if spilled:
+                    lb.out_of_group_dispatches += 1
+                return True
+        if spilled or len(candidates) >= len(all_idx):
+            lb.reject_count += 1
+            return False
+        pool = all_idx
+        spilled = True
+
+
+class TestDrawsOnlyRefusal:
+    """``dispatch`` refuses a call that every drawn row refuses at speed
+    1 from its draws alone.  Against the scored copy above it must agree
+    on everything the model reads: the verdict, the RNG stream, each
+    row's refusal count, which views exist, and the load columns."""
+
+    MACHINES = TestSpeedOneCpuBound.MACHINES
+    PARAMS = TestSpeedOneCpuBound.PARAMS
+    #: Cold rows score high on memory from birth, so the scored order
+    #: often places a call on a warm row before it reaches a cold one.
+    COLD = MachineSpec(cores=2, core_mips=1000, threads=8, memory_mb=16384)
+
+    def _world(self, seed, kinds, groups, n_groups):
+        """One region pool: ``kinds`` gives each row's class ("worker",
+        "elastic" or "cold", a row without a view)."""
+        sim = Simulator(seed=seed)
+        store = WorkerArrays(make_view=lambda s, row: Worker(
+            sim, f"c{row}", "r", machine=self.COLD, arrays=s, index=row))
+        for i, kind in enumerate(kinds):
+            if kind == "cold":
+                store.add_rows(1, self.COLD.threads, self.COLD.cores,
+                               self.COLD.memory_mb,
+                               WorkerParams().runtime_baseline_mb + 0.0 + 0.0)
+            else:
+                cls = ElasticWorker if kind == "elastic" else Worker
+                w = cls(sim, f"w{i}", "r", machine=self.MACHINES[i % 3],
+                        params=self.PARAMS[(i // 2) % 3], arrays=store)
+                if kind == "elastic" and i % 2:
+                    w.grant()
+        store.set_group(slice(0, len(kinds)), array("l", groups))
+        lb = WorkerLB(sim, "r", store,
+                      group_of_function=lambda f: int(f[1:]) % (n_groups + 1),
+                      n_groups_fn=lambda: n_groups)
+        return sim, store, lb
+
+    @staticmethod
+    def _state(store, lb):
+        views = store.views
+        return (lb.rng._rng.getstate(),
+                [w is None for w in views],
+                [None if w is None else w.admission_rejections
+                 for w in views],
+                list(store.running), list(store.cpu_load),
+                list(store.mem_mb),
+                lb.dispatch_count, lb.reject_count,
+                lb.out_of_group_dispatches)
+
+    @staticmethod
+    def _call_pair(sim, rnd, drawn):
+        """Two identical calls, one per world."""
+        call = TestSpeedOneCpuBound._call(sim, rnd, drawn)
+        twin = FunctionCall(spec=call.spec, submit_time=call.submit_time,
+                            start_time=call.start_time,
+                            region_submitted="r",
+                            source_level=call.source_level,
+                            call_id=call.call_id, resources=call.resources)
+        return call, twin
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scored_dispatch(self, seed, monkeypatch):
+        entered = []
+        real_execute = Worker.execute
+
+        def counting_execute(self, call):
+            entered.append(call.call_id)
+            return real_execute(self, call)
+
+        monkeypatch.setattr(Worker, "execute", counting_execute)
+        rnd = random.Random(seed)
+        multi_row_bound_only = cold_draws = placed = 0
+        for _ in range(12):
+            n_rows = rnd.randint(2, 6)
+            kinds = [rnd.choice(("worker", "worker", "worker", "elastic",
+                                 "cold"))
+                     for _ in range(n_rows)]
+            n_groups = rnd.randint(1, 3)
+            groups = [rnd.randrange(n_groups) for _ in range(n_rows)]
+            world_seed = rnd.randrange(1 << 30)
+            sim_a, store_a, lb_a = self._world(world_seed, kinds, groups,
+                                               n_groups)
+            sim_b, store_b, lb_b = self._world(world_seed, kinds, groups,
+                                               n_groups)
+            refused = []
+            for _ in range(200):
+                roll = rnd.random()
+                if roll < 0.04:
+                    t = sim_a.now + rnd.uniform(0.0, 10.0)
+                    sim_a.run_until(t)
+                    sim_b.run_until(t)
+                elif roll < 0.15:
+                    # Saturate a built row's CPU with 20 s CPU-bound
+                    # calls, as dayrun's long calls do.
+                    row = rnd.randrange(n_rows)
+                    for _ in range(rnd.randint(1, 6)):
+                        call_a, call_b = self._call_pair(sim_a, rnd,
+                                                         drawn=True)
+                        for store, call in ((store_a, call_a),
+                                            (store_b, call_b)):
+                            w = store.views[row]
+                            if w is not None:
+                                call.source_level = 0
+                                call.resources = (5000.0 * 20.0, 8.0, 20.0)
+                                real_execute(w, call)
+                elif roll < 0.18:
+                    # Take a built row offline or back, or flip an
+                    # elastic row's availability.
+                    row = rnd.randrange(n_rows)
+                    for store in (store_a, store_b):
+                        w = store.views[row]
+                        if w is None:
+                            continue
+                        if isinstance(w, ElasticWorker) and w.available:
+                            w.reclaim()
+                        elif isinstance(w, ElasticWorker):
+                            w.grant()
+                        elif w.online:
+                            w.fail()
+                        else:
+                            w.recover()
+                else:
+                    if refused and rnd.random() < 0.7:
+                        # Re-dispatch a refused call: its resources are
+                        # drawn, as on every scheduler retry.
+                        call_a, call_b = refused.pop(
+                            rnd.randrange(len(refused)))
+                    else:
+                        call_a, call_b = self._call_pair(
+                            sim_a, rnd, drawn=rnd.random() < 0.5)
+                    drawn = call_a.resources is not None
+                    cold_before = store_a.views.count(None)
+                    n_entered = len(entered)
+                    ok_a = lb_a.dispatch(call_a)
+                    probed = len(entered) > n_entered
+                    ok_b = _scored_dispatch(lb_b, call_b)
+                    assert ok_a == ok_b
+                    assert call_a.resources == call_b.resources
+                    assert call_a.worker_name == call_b.worker_name
+                    assert self._state(store_a, lb_a) == \
+                        self._state(store_b, lb_b)
+                    built = store_a.views.count(None) < cold_before
+                    cold_draws += built
+                    if ok_a:
+                        placed += 1
+                    else:
+                        refused.append((call_a, call_b))
+                        # Refused by the bound alone from a pool of two
+                        # rows or more: the draws-only branch skipped
+                        # the scores of real two-choices draws.
+                        pool = lb_a._groups.get(lb_a.group_of_function(
+                            call_a.spec.name)) or lb_a._all_idx
+                        multi_row_bound_only += (
+                            drawn and not probed and not built
+                            and len(pool) >= 2)
+        # The run reaches the draws-only branch on multi-row pools, the
+        # scored path that builds a cold row's view, and placements.
+        assert multi_row_bound_only > 30
+        assert cold_draws > 0
+        assert placed > 50
+
+
 class TestLocalityOptimizer:
     def _optimizer(self, sim, enabled=True, n_groups=4):
         store = ConfigStore(sim, propagation_delay_s=0.0)

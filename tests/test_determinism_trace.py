@@ -9,6 +9,7 @@ call trace; a third run with a different seed must diverge.
 """
 
 import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -170,6 +171,26 @@ class TestCiDigestPins:
         assert len(trace) == 2 and len(metrics) == 2
         assert set(trace) == {QUICK_DAYRUN_DIGEST}
         assert set(metrics) == {QUICK_DAYRUN_METRICS_DIGEST}
+
+    def test_ci_pins_seed_11_digest_of_every_workload(self):
+        # The seed-11 gate runs xbench at the held-out seed and compares
+        # each workload's trace digest with a pin in its heredoc.  A
+        # workload added without a pin, a truncated pin, or a seed-7
+        # value pasted in its place fails here.
+        root = self.CI_YML.parents[2]
+        text = self.CI_YML.read_text()
+        step = text[text.index("name: xbench seed-11 digest gate"):]
+        step = step[:step.index("- name:")]
+        assert "run.py --seed 11 " in step
+        pins = dict(re.findall(r'"([\w-]+)":\s*"([0-9a-f]*)"', step))
+        workloads = json.loads((root / "BENCHMARK.json").read_text())
+        assert set(pins) == {w["name"] for w in workloads["workloads"]}
+        assert all(len(d) == 64 for d in pins.values())
+        run_py = (root / "benchmarks" / "xbench" / "run.py").read_text()
+        seed7 = run_py[run_py.index("SEED7_DIGESTS = {"):]
+        seed7 = set(re.findall(r"[0-9a-f]{64}", seed7[:seed7.index("}")]))
+        assert len(seed7) == len(pins)
+        assert not seed7 & set(pins.values())
 
 
 class TestFleetrunMetricsDigestPin:

@@ -88,7 +88,7 @@ class TestMiniDayrun:
                 if rc.call.function_name == name)
             parked = sum(
                 1 for s in platform.schedulers.values()
-                for _, _, c in s.runq._heap if c.function_name == name)
+                for *_, c in s.runq._heap if c.function_name == name)
             assert platform.congestion.running(name) == actual + parked, name
 
     def test_cost_averages_converge(self, minirun):
