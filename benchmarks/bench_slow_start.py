@@ -17,12 +17,13 @@ OFFERED_PER_MIN = 3000.0
 def run_step_load(n_windows: int = 25):
     ctl = CongestionController(CongestionParams())
     ctl.register(FunctionSpec(name="stepper"))
+    state = ctl.state_for("stepper")
     dispatched = []
     for window in range(n_windows):
         count = 0
         for _ in range(int(OFFERED_PER_MIN)):
             if ctl.can_dispatch("stepper", window * 60.0):
-                ctl.on_dispatch("stepper")
+                ctl.on_dispatch(state)
                 ctl.on_finish("stepper")
                 count += 1
         dispatched.append(count)

@@ -13,7 +13,9 @@ Three cooperating mechanisms, per function:
 * **Slow start** — when a function's call volume is above ``T`` calls
   per window ``W``, its dispatch volume may grow at most ``α`` per
   window, giving downstream caches/autoscalers time to warm up.
-  Production values: W = 1 min, T = 100 calls, α = 20%.
+  Production values: W = 1 min, T = 100 calls, α = 20%.  W is the
+  AIMD adjust window, ``adjust_window_s``: every call of
+  :meth:`CongestionController.adjust` rolls the slow-start windows.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ class CongestionParams:
 
     multiplicative_decrease: float = 0.5   # M
     additive_increase_rps: float = 10.0    # I, per adjustment window
+    #: AIMD adjust window; also the slow-start window W.
     adjust_window_s: float = 60.0
     backpressure_threshold_per_min: float = 100.0
-    slow_start_window_s: float = 60.0      # W
     slow_start_threshold_calls: float = 100.0  # T
     slow_start_growth: float = 0.20        # α
     initial_rps: float = 1.0e9             # effectively uncapped until AIMD engages
@@ -47,6 +49,12 @@ class CongestionParams:
             raise ValueError("additive_increase_rps must be positive")
         if self.slow_start_growth <= 0:
             raise ValueError("slow_start_growth must be positive")
+        # A zero initial limit refuses every dispatch until AIMD engages,
+        # which it never does without dispatches: the run stalls.
+        if not self.initial_rps > 0:
+            raise ValueError("initial_rps must be positive")
+        if not self.adjust_window_s > 0:
+            raise ValueError("adjust_window_s must be positive")
 
 
 @add_slots
@@ -122,55 +130,24 @@ class CongestionController:
         if st.window_dispatches >= allowance:
             self.slow_start_denials += 1
             return False
-        # TokenBucket.set_rate_and_take inlined (identical arithmetic):
-        # this gate runs for every dispatch attempt of every sweep.
-        bucket = st.bucket
-        rate = st.rps_limit
-        tokens = bucket.tokens
-        burst_s = bucket.burst_s
-        min_tokens = bucket.min_tokens
-        old_rate = bucket.rate
-        elapsed = now - bucket.last_refill
-        if elapsed > 0:
-            if old_rate <= 0:
-                cap = 0.0
-            else:
-                cap = old_rate * burst_s
-                if cap < min_tokens:
-                    cap = min_tokens
-            tokens += elapsed * old_rate
-            if tokens > cap:
-                tokens = cap
-            bucket.last_refill = now
-        bucket.rate = rate
-        if rate <= 0:
-            cap = 0.0
-        else:
-            cap = rate * burst_s
-            if cap < min_tokens:
-                cap = min_tokens
-        if tokens > cap:
-            tokens = cap
-        bucket.tokens = tokens
-        if tokens >= 1.0:
+        if st.bucket.ready(now, st.rps_limit):
             return True
         self.rate_denials += 1
         return False
 
-    def on_dispatch(self, name: str) -> None:
-        st = self._require(name)
+    def on_dispatch(self, st: _FunctionState) -> None:
+        """Count a dispatch that passed :meth:`can_dispatch_state`."""
         st.running += 1
         st.window_dispatches += 1
 
-    def cancel_dispatch(self, name: str) -> None:
-        """Undo on_dispatch for a call that could not be placed."""
-        st = self._require(name)
+    def cancel_dispatch(self, st: _FunctionState) -> None:
+        """Undo :meth:`on_dispatch` for a call that could not be placed,
+        and give its rate token back."""
         if st.running > 0:
             st.running -= 1
-        st.window_dispatches = max(0.0, st.window_dispatches - 1.0)
-        # Return the rate token, capped like CentralRateLimiter.refund.
-        st.bucket.tokens = min(st.bucket.tokens + 1.0,
-                               max(st.bucket.capacity, 1.0))
+        wd = st.window_dispatches - 1.0
+        st.window_dispatches = wd if wd > 0.0 else 0.0
+        st.bucket.refund()
 
     def on_finish(self, name: str) -> None:
         st = self._require(name)

@@ -16,7 +16,7 @@ at-least-once semantics re-runs them elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..cluster.machine import MachineSpec
 from ..sim.kernel import Simulator
@@ -37,11 +37,11 @@ class ElasticWorker(Worker):
         self.available = False
         self.reclaim_count = 0
 
-    def can_admit(self, call: FunctionCall) -> bool:
-        if not self.available:
-            return False
-        if not self._is_background(call):
-            return False
+    def can_admit(self, call: FunctionCall
+                  ) -> Optional[Tuple[float, float, float]]:
+        # Refused before the base check: no resources are drawn.
+        if not self.available or not self._is_background(call):
+            return None
         return super().can_admit(call)
 
     def reclaim(self) -> None:

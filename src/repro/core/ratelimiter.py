@@ -24,12 +24,17 @@ from ..workloads.spec import FunctionSpec, QuotaType
 @add_slots
 @dataclass
 class TokenBucket:
-    """Token bucket whose rate can be re-evaluated at every refill.
+    """Token bucket whose rate can be re-evaluated at every check.
 
     Capacity is floored at ``min_tokens`` (for positive rates) so that
     low-RPS functions — e.g. a 0.05 RPS limit from a small quota — can
     still accumulate a whole token and execute at their trickle rate
     instead of starving forever.
+
+    This class owns all bucket arithmetic: the quota gate, the AIMD
+    gate and the client limiter check through :meth:`ready` or
+    :meth:`try_take`, and every token given back goes through
+    :meth:`refund`.
     """
 
     rate: float
@@ -37,81 +42,63 @@ class TokenBucket:
     min_tokens: float = 1.0
     tokens: float = 0.0
     last_refill: float = 0.0
+    #: A pure function of ``rate``; written only by :meth:`set_rate`.
+    capacity: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
         if self.burst_s <= 0:
             raise ValueError(f"burst_s must be positive, got {self.burst_s}")
+        self.set_rate(self.rate)
         self.tokens = self.capacity
 
-    @property
-    def capacity(self) -> float:
-        if self.rate <= 0:
-            return 0.0
-        return max(self.rate * self.burst_s, self.min_tokens)
-
-    def refill(self, now: float) -> None:
-        elapsed = now - self.last_refill
-        if elapsed > 0:
-            self.tokens = min(self.capacity, self.tokens + elapsed * self.rate)
-            self.last_refill = now
-
-    def try_take(self, now: float, n: float = 1.0) -> bool:
-        self.refill(now)
-        if self.tokens >= n:
-            self.tokens -= n
-            return True
-        return False
-
-    def set_rate(self, now: float, rate: float) -> None:
-        """Change the bucket's rate, settling accrued tokens first."""
+    def set_rate(self, rate: float) -> None:
+        """Set the rate and its capacity; tokens are left as they are."""
         if rate < 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
-        self.refill(now)
         self.rate = rate
-        self.tokens = min(self.tokens, self.capacity)
+        self.capacity = (max(rate * self.burst_s, self.min_tokens)
+                         if rate > 0 else 0.0)
 
-    def set_rate_and_take(self, now: float, rate: float) -> bool:
-        """Hot-path fusion of ``set_rate`` + ``try_take``.
+    def ready(self, now: float, rate: float) -> bool:
+        """Settle the bucket at ``now`` under ``rate``; True when a
+        whole token is there.  Takes no token.
 
-        Equivalent to calling them back to back but with a single refill
-        (the second refill is always a no-op at the same ``now``) and a
-        single capacity evaluation per rate value.
+        Tokens accrued since the last check are settled at the old rate
+        and capacity first.  The clip to the (new) capacity runs on
+        every check: a refund can leave ``tokens`` above a capacity
+        below one token.
         """
+        cap = self.capacity
         tokens = self.tokens
-        burst_s = self.burst_s
-        min_tokens = self.min_tokens
-        old_rate = self.rate
         elapsed = now - self.last_refill
         if elapsed > 0:
-            # Settle accrued tokens at the *old* rate first.  Capacity
-            # is inlined (same arithmetic as the property — this method
-            # runs a quarter-million times per simulated hour).
-            if old_rate <= 0:
-                cap = 0.0
-            else:
-                cap = old_rate * burst_s
-                if cap < min_tokens:
-                    cap = min_tokens
-            tokens += elapsed * old_rate
+            tokens += elapsed * self.rate
             if tokens > cap:
                 tokens = cap
             self.last_refill = now
-        self.rate = rate
-        if rate <= 0:
-            cap = 0.0
-        else:
-            cap = rate * burst_s
-            if cap < min_tokens:
-                cap = min_tokens
+        if rate != self.rate:
+            self.set_rate(rate)
+            cap = self.capacity
         if tokens > cap:
             tokens = cap
-        if tokens >= 1.0:
-            self.tokens = tokens - 1.0
-            return True
         self.tokens = tokens
+        return tokens >= 1.0
+
+    def try_take(self, now: float) -> bool:
+        """Take one token at the current rate; False means none is there."""
+        if self.ready(now, self.rate):
+            self.tokens -= 1.0
+            return True
         return False
+
+    def refund(self) -> None:
+        """Give one token back (the gated dispatch was undone), up to
+        the capacity or one token, whichever is larger."""
+        cap = self.capacity
+        if cap < 1.0:
+            cap = 1.0
+        tokens = self.tokens + 1.0
+        self.tokens = tokens if tokens < cap else cap
 
 
 @add_slots
@@ -225,48 +212,13 @@ class CentralRateLimiter:
             # S = 0: opportunistic scheduling is fully stopped (§4.6.2).
             self.throttle_count += 1
             return False
-        # TokenBucket.set_rate_and_take inlined (identical arithmetic):
-        # the acquire gate runs for every dispatch attempt of every
-        # sweep, and the call frame dominates the bucket update.
         bucket = fq.bucket
-        tokens = bucket.tokens
-        burst_s = bucket.burst_s
-        min_tokens = bucket.min_tokens
-        old_rate = bucket.rate
-        elapsed = now - bucket.last_refill
-        if elapsed > 0:
-            if old_rate <= 0:
-                cap = 0.0
-            else:
-                cap = old_rate * burst_s
-                if cap < min_tokens:
-                    cap = min_tokens
-            tokens += elapsed * old_rate
-            if tokens > cap:
-                tokens = cap
-            bucket.last_refill = now
-        bucket.rate = limit
-        if limit <= 0:
-            cap = 0.0
-        else:
-            cap = limit * burst_s
-            if cap < min_tokens:
-                cap = min_tokens
-        if tokens > cap:
-            tokens = cap
-        if tokens >= 1.0:
-            bucket.tokens = tokens - 1.0
+        if bucket.ready(now, limit):
+            bucket.tokens -= 1.0
             self.allow_count += 1
             return True
-        bucket.tokens = tokens
         self.throttle_count += 1
         return False
-
-    def refund(self, name: str) -> None:
-        """Return one token (the gated dispatch was cancelled)."""
-        fq = self._require(name)
-        fq.bucket.tokens = min(fq.bucket.tokens + 1.0,
-                               max(fq.bucket.capacity, 1.0))
 
     def avg_cost(self, name: str) -> float:
         return self._require(name).avg_cost_minstr
@@ -297,10 +249,8 @@ class ClientRateLimiter:
     def set_limit(self, client: str, rps: float) -> None:
         """Replace a client's limit; the bucket restarts full (an
         operator-granted limit change takes effect immediately)."""
-        if rps < 0:
-            raise ValueError(f"rps must be >= 0, got {rps}")
         bucket = self._bucket(client)
-        bucket.rate = rps
+        bucket.set_rate(rps)
         bucket.tokens = bucket.capacity
 
     def try_acquire(self, client: str, now: float) -> bool:

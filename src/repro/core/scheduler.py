@@ -31,10 +31,10 @@ from ..sim.kernel import Simulator
 from ..sim.sampler import SamplerHub
 from .call import CallOutcome, CallState, FunctionCall
 from .config import CachedConfig, ConfigStore
-from .congestion import CongestionController
+from .congestion import CongestionController, _FunctionState
 from .durableq import DurableQ
 from .funcbuffer import BufferEntry, FuncBuffer
-from .ratelimiter import CentralRateLimiter
+from .ratelimiter import CentralRateLimiter, _FunctionQuota
 from .runq import RunQ
 from .workerlb import WorkerLB
 
@@ -42,6 +42,8 @@ TRAFFIC_MATRIX_KEY = "gtc/traffic_matrix"
 S_MULTIPLIER_KEY = "utilization/S"
 
 DoneCallback = Callable[[FunctionCall, CallOutcome], None]
+#: A function's resolved (congestion state, quota) pair.
+Gates = Tuple[_FunctionState, _FunctionQuota]
 
 #: Head-key extractor for the per-pass buffer ordering (head entries
 #: embed the unique call id, so ties — and a comparison falling through
@@ -108,10 +110,9 @@ class Scheduler:
 
         self._buffers: Dict[str, FuncBuffer] = {}
         self._buffered_total = 0
-        #: function name → (congestion state, quota) — both objects are
-        #: registered once and mutated in place, so the pair can be
-        #: resolved once per function instead of twice per sweep.
-        self._gate_states: Dict[str, Tuple[object, object]] = {}
+        #: function name → (congestion state, quota), filled by
+        #: :meth:`_resolve_gates`.
+        self._gate_states: Dict[str, Gates] = {}
         self.runq = RunQ(capacity=params.runq_capacity)
         #: call_id → DurableQ holding its lease (for ACK/NACK/extension).
         self._inflight: Dict[int, Tuple[FunctionCall, DurableQ]] = {}
@@ -149,49 +150,13 @@ class Scheduler:
         self._schedule_pass()
 
     def _recycle_runq(self) -> None:
-        # Recycling runs once per tick over every parked call.  Each
-        # RunQ entry goes back into its FuncBuffer's heap as it is (the
-        # two heaps share one entry layout, funcbuffer.py), and _demote
-        # is inlined against the memoized gate states (same pair the
-        # dispatch pass resolves), saving three lookups per call.
+        # Every parked call goes back to its FuncBuffer, its gate tokens
+        # refunded; the RunQ and FuncBuffer heaps share one entry layout
+        # (funcbuffer.py), so each entry moves as it is.
         heap = self.runq._heap
-        heappop_ = heapq.heappop
-        heappush_ = heapq.heappush
-        gate_states = self._gate_states
-        buffers = self._buffers
-        buffered = CallState.BUFFERED
+        demote = self._demote
         while heap:
-            entry = heappop_(heap)
-            call = entry[3]
-            name = call.spec.name
-            gates = gate_states.get(name)
-            if gates is None:
-                self._demote(call)
-                continue
-            cong_st, quota = gates
-            if cong_st.running > 0:
-                cong_st.running -= 1
-            wd = cong_st.window_dispatches - 1.0
-            cong_st.window_dispatches = wd if wd > 0.0 else 0.0
-            for bucket in (cong_st.bucket, quota.bucket):
-                # TokenBucket.capacity inlined, same arithmetic.
-                rate = bucket.rate
-                if rate <= 0:
-                    cap = 0.0
-                else:
-                    cap = rate * bucket.burst_s
-                    if cap < bucket.min_tokens:
-                        cap = bucket.min_tokens
-                if cap < 1.0:
-                    cap = 1.0
-                tokens = bucket.tokens + 1.0
-                bucket.tokens = tokens if tokens < cap else cap
-            call.state = buffered
-            buffer = buffers.get(name)
-            if buffer is None:
-                buffer = buffers[name] = FuncBuffer(name)
-            heappush_(buffer._heap, entry)
-            self._buffered_total += 1
+            demote(heapq.heappop(heap))
 
     def kick(self) -> None:
         """Worker capacity freed: dispatch already-gated calls.
@@ -315,6 +280,7 @@ class Scheduler:
         # Pass-invariant bindings, hoisted across every function swept.
         congestion = self.congestion
         can_dispatch_state = congestion.can_dispatch_state
+        on_dispatch = congestion.on_dispatch
         try_acquire = self.rate_limiter.try_acquire_quota
         dispatch = self.workerlb.dispatch
         # Parking pushes the popped buffer entry onto the RunQ heap, up
@@ -328,14 +294,11 @@ class Scheduler:
         gate_states = self._gate_states
         for _, buffer in heads:
             # Every call in a buffer shares one function: its congestion
-            # state and quota are resolved once, then memoized — both
-            # are registered-for-life objects mutated in place.
+            # state and quota are resolved once per buffer.
             name = buffer.function_name
             gates = gate_states.get(name)
             if gates is None:
-                gates = gate_states[name] = (
-                    congestion.state_for(name),
-                    self.rate_limiter.quota_for(name))
+                gates = self._resolve_gates(name)
             cong_st, quota = gates
             # The per-call loop runs over the buffer's heap directly —
             # the peek/len indirections cost more than the loop body
@@ -368,11 +331,10 @@ class Scheduler:
                     break  # function-level rate gate: defer the rest
                 heappop_(heap)
                 self._buffered_total -= 1
-                # Both gates passed: take the AIMD token, then inline
-                # congestion.on_dispatch on the resolved state.
+                # Both gates passed: take the AIMD token and count the
+                # dispatch.
                 cong_st.bucket.tokens -= 1.0
-                cong_st.running += 1
-                cong_st.window_dispatches += 1
+                on_dispatch(cong_st)
                 call.state = CallState.RUNNING
                 if dispatch(call):
                     self.dispatched_count += 1
@@ -392,25 +354,8 @@ class Scheduler:
                 deferred.append(head)
                 if placement_failures > lookahead:
                     break
-            if deferred:
-                # Inlined _demote on the already-resolved gate states:
-                # every deferred call belongs to this buffer's function,
-                # and its popped heap entry goes back as it is.
-                buckets = (cong_st.bucket, quota.bucket)
-                for head in deferred:
-                    if cong_st.running > 0:
-                        cong_st.running -= 1
-                    wd = cong_st.window_dispatches - 1.0
-                    cong_st.window_dispatches = wd if wd > 0.0 else 0.0
-                    for bucket in buckets:
-                        cap = bucket.capacity
-                        if cap < 1.0:
-                            cap = 1.0
-                        tokens = bucket.tokens + 1.0
-                        bucket.tokens = tokens if tokens < cap else cap
-                    head[3].state = CallState.BUFFERED
-                    heappush_(heap, head)
-                self._buffered_total += len(deferred)
+            for head in deferred:
+                self._demote(head)
 
     # ------------------------------------------------------------------
     # Step 3: RunQ → WorkerLB
@@ -439,16 +384,30 @@ class Scheduler:
         for entry in refused:
             heapq.heappush(heap, entry)
 
-    def _demote(self, call: FunctionCall) -> None:
-        name = call.function_name
-        self.congestion.cancel_dispatch(name)
-        self.rate_limiter.refund(name)
+    def _resolve_gates(self, name: str) -> Gates:
+        """Memoize a function's (congestion state, quota) pair: both are
+        registered for life and mutated in place."""
+        gates = self._gate_states[name] = (
+            self.congestion.state_for(name),
+            self.rate_limiter.quota_for(name))
+        return gates
+
+    def _demote(self, entry: BufferEntry) -> None:
+        """Undo a gated dispatch: return both gate tokens and push the
+        call's entry back into its FuncBuffer as it is."""
+        call = entry[3]
+        name = call.spec.name
+        gates = self._gate_states.get(name)
+        if gates is None:
+            gates = self._resolve_gates(name)
+        cong_st, quota = gates
+        self.congestion.cancel_dispatch(cong_st)
+        quota.bucket.refund()
         call.state = CallState.BUFFERED
         buffer = self._buffers.get(name)
         if buffer is None:
-            buffer = FuncBuffer(name)
-            self._buffers[name] = buffer
-        buffer.push(call)
+            buffer = self._buffers[name] = FuncBuffer(name)
+        heapq.heappush(buffer._heap, entry)
         self._buffered_total += 1
 
     # ------------------------------------------------------------------

@@ -31,7 +31,6 @@ from ..sim.rng import RngStream
 from ..workloads.spec import Criticality, QuotaType
 from .call import CallOutcome, FunctionCall
 from .codedeploy import CodeVersion
-from .isolation import flow_allowed
 from .jit import JitParams, RuntimeJit
 from .workerarrays import WorkerArrays
 
@@ -111,11 +110,11 @@ class Worker:
     ``index`` as well, the worker becomes the view of that existing
     cold row and leaves its columns as they are.
 
-    Subclass contract: an override of :meth:`can_admit` may add
-    refusals to the base admission (as :class:`ElasticWorker` does) but
-    never admit a call the base refuses.  The WorkerLB's speed-1 CPU
-    bound refuses probes without calling :meth:`execute` and relies on
-    this.
+    Subclass contract: an override of :meth:`can_admit` adds its
+    refusals and then returns ``super().can_admit(call)`` (as
+    :class:`ElasticWorker` does), so it never admits a call the base
+    refuses.  The WorkerLB's speed-1 CPU bound refuses probes without
+    calling :meth:`execute` and relies on this.
     """
 
     __slots__ = (
@@ -124,7 +123,7 @@ class Worker:
         "cpu", "_arrays", "_index",
         "_baseline_mb", "_mem_limit_mb", "_cpu_budget",
         "_bg_cpu_budget", "_resident_multiplier", "_resource_streams",
-        "_admit_cache", "_jit_speed_at", "_jit_speed", "_budget_by_name",
+        "_jit_speed_at", "_jit_speed", "_budget_by_name",
         "_running", "_live_memory_mb", "_resident", "_resident_mb",
         "_window_functions", "calls_started", "calls_completed",
         "admission_rejections", "isolation_rejections", "evictions")
@@ -173,10 +172,6 @@ class Worker:
         #: function name → its shared resource-sampling stream; avoids
         #: rebuilding the f-string stream name per call (simlint SL007).
         self._resource_streams: Dict[str, RngStream] = {}
-        #: Admission scratch: (call_id, cpu_minstr, mem_mb, duration,
-        #: cpu_load) computed by the last ``can_admit`` so ``execute``
-        #: does not recompute it on the accept path.
-        self._admit_cache: Optional[Tuple[int, float, float, float, float]] = None
         #: JIT speed memo for the current timestamp (admission probes a
         #: worker many times within one scheduling sweep).
         self._jit_speed_at = -1.0
@@ -253,47 +248,51 @@ class Worker:
     # ------------------------------------------------------------------
     # Admission and execution
     # ------------------------------------------------------------------
-    def can_admit(self, call: FunctionCall) -> bool:
+    def can_admit(self, call: FunctionCall
+                  ) -> Optional[Tuple[float, float, float]]:
+        """Admission check: ``(mem_mb, duration, cpu_load)`` of the call
+        on this worker, or None when the worker refuses it.
+
+        The call's resources are drawn right after the online check, so
+        a refusal on threads, memory or CPU still leaves them drawn.
+        """
         arr = self._arrays
         i = self._index
         if not arr.online[i]:
-            return False
+            return None
         resources = call.resources
         if resources is None:
             resources = self._resources(call)
         cpu_minstr, mem_mb, exec_s = resources
         if arr.running[i] >= arr.threads[i]:
-            return False
+            return None
         spec = call.spec
         name = spec.name
         resident_cost = 0.0
         if name not in self._resident:
             resident_cost = spec.code_size_mb * self._resident_multiplier
-        projected_mem = arr.mem_mb[i] + mem_mb + resident_cost
-        if projected_mem > self._mem_limit_mb:
-            return False
+        if arr.mem_mb[i] + mem_mb + resident_cost > self._mem_limit_mb:
+            return None
         # CPU admission: keep projected steady load within the core budget.
         now = self.sim._now
         if now != self._jit_speed_at:
             self._jit_speed_at = now
             self._jit_speed = self.jit.speed(now)
         speed = self._jit_speed
+        # A call cannot finish before its (JIT-slowed) single-thread CPU
+        # time; IO-bound calls keep their nominal wall time.
         cpu_s = cpu_minstr / (self.machine.core_mips * (speed if speed > 1e-6
                                                         else 1e-6))
         duration = exec_s if exec_s > cpu_s else cpu_s
         cpu_load = cpu_s / duration
         budget = self._budget_by_name.get(name)
         if budget is None:
-            budget = (self._bg_cpu_budget
-                      if (spec.quota_type is QuotaType.OPPORTUNISTIC
-                          or spec.criticality <= Criticality.LOW)
-                      else self._cpu_budget)
-            self._budget_by_name[name] = budget
+            budget = self._budget_by_name[name] = (
+                self._bg_cpu_budget if self._is_background(call)
+                else self._cpu_budget)
         if arr.cpu_load[i] + cpu_load > budget:
-            return False
-        self._admit_cache = (call.call_id, cpu_minstr, mem_mb, duration,
-                             cpu_load)
-        return True
+            return None
+        return mem_mb, duration, cpu_load
 
     @staticmethod
     def _is_background(call: FunctionCall) -> bool:
@@ -312,71 +311,13 @@ class Worker:
             self.isolation_rejections += 1
             self._finish_now(call, CallOutcome.ISOLATION_DENIED)
             return True  # terminal: do not retry elsewhere
-        if type(self) is Worker:
-            # Fused base-class admission: every WorkerLB probe that
-            # its speed-1 CPU bound does not refuse lands here (on the
-            # seed-7 dayrun ~1.3 per placed call, of ~24 probes), so
-            # the can_admit body is inlined here — same checks, same
-            # arithmetic, same RNG draw order (resources first), minus
-            # the method call and the _admit_cache round-trip.
-            # Subclasses that override can_admit (e.g. ElasticWorker)
-            # take the virtual path in the else branch.
-            arr = self._arrays
-            i = self._index
-            if not arr.online[i]:
-                self.admission_rejections += 1
-                return False
-            resources = call.resources
-            if resources is None:
-                resources = self._resources(call)
-            cpu_minstr, mem_mb, exec_s = resources
-            if arr.running[i] >= arr.threads[i]:
-                self.admission_rejections += 1
-                return False
-            spec = call.spec
-            name = spec.name
-            resident_cost = 0.0
-            if name not in self._resident:
-                resident_cost = spec.code_size_mb * self._resident_multiplier
-            if arr.mem_mb[i] + mem_mb + resident_cost > self._mem_limit_mb:
-                self.admission_rejections += 1
-                return False
-            now = self.sim._now
-            if now != self._jit_speed_at:
-                self._jit_speed_at = now
-                self._jit_speed = self.jit.speed(now)
-            speed = self._jit_speed
-            cpu_s = cpu_minstr / (self.machine.core_mips *
-                                  (speed if speed > 1e-6 else 1e-6))
-            duration = exec_s if exec_s > cpu_s else cpu_s
-            cpu_load = cpu_s / duration
-            budget = self._budget_by_name.get(name)
-            if budget is None:
-                budget = (self._bg_cpu_budget
-                          if (spec.quota_type is QuotaType.OPPORTUNISTIC
-                              or spec.criticality <= Criticality.LOW)
-                          else self._cpu_budget)
-                self._budget_by_name[name] = budget
-            if arr.cpu_load[i] + cpu_load > budget:
-                self.admission_rejections += 1
-                return False
-        else:
-            self._admit_cache = None
-            if not self.can_admit(call):
-                self.admission_rejections += 1
-                return False
-
-            now = self.sim._now
-            cache = self._admit_cache
-            if cache is not None and cache[0] == call.call_id:
-                _, cpu_minstr, mem_mb, duration, cpu_load = cache
-            else:
-                # A can_admit override skipped the base computation.
-                cpu_minstr, mem_mb, _ = self._resources(call)
-                speed = self.jit.speed(now)
-                duration = self._duration(call, speed)
-                cpu_load = self._cpu_seconds(cpu_minstr, speed) / duration
-            name = call.spec.name
+        admitted = self.can_admit(call)
+        if admitted is None:
+            self.admission_rejections += 1
+            return False
+        mem_mb, duration, cpu_load = admitted
+        now = self.sim._now
+        name = call.spec.name
         # Residual universal-worker cost: first call of a function loads
         # its (pre-pushed) code from local SSD.
         if name not in self._resident:
@@ -455,15 +396,6 @@ class Worker:
             call.resources = call.spec.profile.sample(
                 rng, self.machine.core_mips)
         return call.resources
-
-    def _cpu_seconds(self, cpu_minstr: float, speed: float) -> float:
-        return cpu_minstr / (self.machine.core_mips * max(speed, 1e-6))
-
-    def _duration(self, call: FunctionCall, speed: float) -> float:
-        cpu_minstr, _, exec_s = self._resources(call)
-        # A call cannot finish before its (JIT-slowed) single-thread CPU
-        # time; IO-bound calls keep their nominal wall time.
-        return max(exec_s, self._cpu_seconds(cpu_minstr, speed))
 
     def _make_resident(self, function_name: str, code_size_mb: float) -> None:
         resident_mb = code_size_mb * self.params.resident_multiplier

@@ -63,8 +63,8 @@ DEFAULT_TARGETS: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
      ("submit", "_on_done", "_invoke_downstream")),
     ("repro.core.rim", "Rim", ("sample",)),
     ("repro.core.congestion", "CongestionController",
-     ("adjust", "can_dispatch")),
-    ("repro.core.ratelimiter", "CentralRateLimiter", ("try_acquire",)),
+     ("adjust", "can_dispatch_state")),
+    ("repro.core.ratelimiter", "CentralRateLimiter", ("try_acquire_quota",)),
     ("repro.workloads.generator", "ArrivalGenerator", ("_tick", "_fire")),
 )
 
@@ -201,23 +201,26 @@ class ProfileRecorder:
     # Component-method instrumentation
     # ------------------------------------------------------------------
     def install(self, targets=DEFAULT_TARGETS) -> None:
-        """Wrap the curated hot methods at class level (reversible)."""
+        """Wrap the curated hot methods at class level (reversible).
+
+        Raises ``AttributeError`` when a target names no method, and
+        wraps nothing then: a renamed method must fail the profile, not
+        drop its rows from the table.
+        """
         if self._installed:
             raise RuntimeError("recorder already installed")
+        found = []
         for mod_name, cls_name, methods in targets:
-            try:
-                mod = importlib.import_module(mod_name)
-            except ImportError:
-                continue
-            cls = getattr(mod, cls_name, None)
-            if cls is None:
-                continue
+            cls = getattr(importlib.import_module(mod_name), cls_name)
             for name in methods:
                 fn = cls.__dict__.get(name)
-                if fn is None or not callable(fn):
-                    continue
-                setattr(cls, name, self._wrap(cls_name, name, fn))
-                self._installed.append((cls, name, fn))
+                if not callable(fn):
+                    raise AttributeError(
+                        f"{mod_name}.{cls_name}.{name} is not a method")
+                found.append((cls, cls_name, name, fn))
+        for cls, cls_name, name, fn in found:
+            setattr(cls, name, self._wrap(cls_name, name, fn))
+            self._installed.append((cls, name, fn))
 
     def uninstall(self) -> None:
         """Restore every wrapped method."""

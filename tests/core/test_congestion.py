@@ -21,7 +21,7 @@ class TestAimd:
         # Simulate a window of dispatches at ~200 RPS with heavy exceptions.
         for _ in range(1000):
             if ctl.can_dispatch("f", 0.0):
-                ctl.on_dispatch("f")
+                ctl.on_dispatch(ctl.state_for("f"))
         ctl.on_backpressure("f", "svc", 150.0)
         ctl.adjust(60.0)
         r1 = ctl.rps_limit("f")
@@ -34,7 +34,7 @@ class TestAimd:
     def test_additive_increase_when_clear(self):
         ctl = make_controller()
         ctl.register(FunctionSpec(name="f"))
-        ctl.on_dispatch("f")
+        ctl.on_dispatch(ctl.state_for("f"))
         ctl.on_backpressure("f", "svc", 150.0)
         ctl.adjust(60.0)
         r1 = ctl.rps_limit("f")
@@ -72,7 +72,7 @@ class TestAimd:
     def test_full_recovery_disengages(self):
         ctl = make_controller(additive_increase_rps=1e9)
         ctl.register(FunctionSpec(name="f"))
-        ctl.on_dispatch("f")
+        ctl.on_dispatch(ctl.state_for("f"))
         ctl.on_backpressure("f", "svc", 150.0)
         ctl.adjust(60.0)
         ctl.adjust(120.0)  # huge additive step → back to initial
@@ -84,16 +84,16 @@ class TestConcurrencyLimit:
         ctl = make_controller()
         ctl.register(FunctionSpec(name="f", concurrency_limit=2))
         assert ctl.can_dispatch("f", 0.0)
-        ctl.on_dispatch("f")
+        ctl.on_dispatch(ctl.state_for("f"))
         assert ctl.can_dispatch("f", 0.0)
-        ctl.on_dispatch("f")
+        ctl.on_dispatch(ctl.state_for("f"))
         assert not ctl.can_dispatch("f", 0.0)
         assert ctl.concurrency_denials == 1
 
     def test_finish_frees_slot(self):
         ctl = make_controller()
         ctl.register(FunctionSpec(name="f", concurrency_limit=1))
-        ctl.on_dispatch("f")
+        ctl.on_dispatch(ctl.state_for("f"))
         ctl.on_finish("f")
         assert ctl.can_dispatch("f", 0.0)
 
@@ -103,11 +103,11 @@ class TestConcurrencyLimit:
         state = ctl.state_for("f")
         state.rps_limit = 2.0
         assert ctl.can_dispatch("f", 0.0)  # tokens capped to 2, one taken
-        ctl.on_dispatch("f")
-        ctl.cancel_dispatch("f")
+        ctl.on_dispatch(state)
+        ctl.cancel_dispatch(state)
         assert state.bucket.tokens == 2.0
         assert (state.running, state.window_dispatches) == (0, 0.0)
-        ctl.cancel_dispatch("f")  # a second refund stays at the cap
+        ctl.cancel_dispatch(state)  # a second refund stays at the cap
         assert state.bucket.tokens == 2.0
 
     def test_unbalanced_finish_raises(self):
@@ -124,7 +124,7 @@ class TestSlowStart:
         ctl.register(FunctionSpec(name="f"))
         for _ in range(99):
             assert ctl.can_dispatch("f", 0.0)
-            ctl.on_dispatch("f")
+            ctl.on_dispatch(ctl.state_for("f"))
 
     def test_growth_capped_at_alpha(self):
         ctl = make_controller()
@@ -134,7 +134,7 @@ class TestSlowStart:
             count = 0
             for _ in range(10_000):
                 if ctl.can_dispatch("f", window * 60.0):
-                    ctl.on_dispatch("f")
+                    ctl.on_dispatch(ctl.state_for("f"))
                     ctl.on_finish("f")
                     count += 1
             dispatched_per_window.append(count)
@@ -150,7 +150,7 @@ class TestSlowStart:
         ctl.register(FunctionSpec(name="f"))
         for _ in range(150):
             if ctl.can_dispatch("f", 0.0):
-                ctl.on_dispatch("f")
+                ctl.on_dispatch(ctl.state_for("f"))
         assert ctl.slow_start_denials == 50
 
 
@@ -158,6 +158,18 @@ class TestValidation:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             CongestionParams(multiplicative_decrease=1.5)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_initial_rps_must_be_positive(self, value):
+        # A zero limit refuses every dispatch, so AIMD never engages
+        # and the run completes nothing.
+        with pytest.raises(ValueError, match="initial_rps"):
+            CongestionParams(initial_rps=value)
+
+    @pytest.mark.parametrize("value", [0.0, -30.0])
+    def test_adjust_window_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="adjust_window_s"):
+            CongestionParams(adjust_window_s=value)
         with pytest.raises(ValueError):
             CongestionParams(additive_increase_rps=0)
 

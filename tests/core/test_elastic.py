@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro import Simulator, XFaaS, build_topology
-from repro.core import CallOutcome, FunctionCall
+from repro.cluster import MachineSpec
+from repro.core import CallOutcome, FunctionCall, Worker
 from repro.core.call import CallIdAllocator
 from repro.core.elastic import ElasticPool, ElasticSchedule, ElasticWorker
 from repro.workloads import (
@@ -68,6 +69,57 @@ class TestElasticWorker:
         # CPU accounting balanced after interruption.
         sim.run_until(100.0)
         assert worker.cpu.load == pytest.approx(0.0)
+
+    def test_granted_worker_admits_like_a_plain_worker(self):
+        # Same machine, params and background calls: a granted elastic
+        # worker adds no refusal, so its admission is the base one.
+        machine = MachineSpec(cores=2, threads=6, memory_mb=8 * 1024)
+        spec = FunctionSpec(
+            name="bg", criticality=Criticality.LOW,
+            profile=ResourceProfile(
+                cpu_minstr=LogNormal(mu=math.log(3000.0), sigma=1.0),
+                memory_mb=LogNormal(mu=math.log(256.0), sigma=1.0),
+                exec_time_s=LogNormal(mu=math.log(2.0), sigma=0.8)))
+        sims = [Simulator(seed=7), Simulator(seed=7)]
+        plain = Worker(sims[0], "w", "r", machine=machine)
+        elastic = ElasticWorker(sims[1], "w", "r", machine=machine)
+        elastic.grant()
+        calls = ([], [])
+        ids = CallIdAllocator()
+        for step in range(120):
+            t = step * 0.25
+            call_id = ids.allocate()
+            for sim, worker, made in zip(sims, (plain, elastic), calls):
+                sim.run_until(t)
+                call = FunctionCall(spec=spec, submit_time=t, start_time=t,
+                                    region_submitted="r", call_id=call_id)
+                made.append((call, worker.execute(call)))
+            cols = [(w._arrays.running[w._index], w._arrays.cpu_load[w._index],
+                     w._arrays.mem_mb[w._index]) for w in (plain, elastic)]
+            assert cols[0] == cols[1], step
+        for sim in sims:
+            sim.run_until(200.0)
+        assert ([(ok, c.finish_time) for c, ok in calls[0]]
+                == [(ok, c.finish_time) for c, ok in calls[1]])
+        assert plain.admission_rejections == elastic.admission_rejections
+        assert 0 < plain.admission_rejections < 120
+        assert plain.calls_started == elastic.calls_started > 0
+
+    def test_elastic_refusals_draw_no_resources(self):
+        sim = Simulator(seed=8)
+        worker = ElasticWorker(sim, "e", "r")
+        call = opportunistic_call(sim)
+        assert not worker.execute(call)  # not granted yet
+        assert call.resources is None
+        worker.grant()
+        call = reserved_call(sim)
+        assert not worker.execute(call)
+        assert call.resources is None
+        assert worker.admission_rejections == 2
+        worker.reclaim()
+        call = opportunistic_call(sim)
+        assert not worker.execute(call)
+        assert call.resources is None
 
     def test_schedule_windows(self):
         sched = ElasticSchedule(available_windows=((0.0, 3600.0),))

@@ -145,8 +145,8 @@ class TestFlatHeapSequence:
                                                       buffered):
         # The scheduler recycles its RunQ into the FuncBuffer heaps
         # directly; every buffer must still pop in sort_key order.
-        # Functions f0 and f1 keep their resolved gate states (the
-        # inlined demote), f2 loses them (the _demote fallback).
+        # Functions f0 and f1 keep their resolved gate states; f2 loses
+        # them, so _demote resolves them again.
         rig = ParkRig()
         sched = rig.scheduler
         expected = {f"f{i}": set() for i in range(3)}

@@ -1,5 +1,7 @@
 """Tests for quotas and the Central Rate Limiter (§4.6.1)."""
 
+import random
+
 import pytest
 
 from repro.core import CentralRateLimiter, ClientRateLimiter, TokenBucket
@@ -35,12 +37,123 @@ class TestTokenBucket:
         b = TokenBucket(rate=10.0, burst_s=1.0)
         for _ in range(10):
             b.try_take(0.0)
-        b.set_rate(1.0, 100.0)  # accrue 10 tokens at old rate first
+        b.ready(1.0, 100.0)  # accrue 10 tokens at old rate first
         assert b.tokens == pytest.approx(10.0)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             TokenBucket(rate=-1.0)
+
+
+def _frozen_capacity(rate, burst_s, min_tokens):
+    if rate <= 0:
+        return 0.0
+    cap = rate * burst_s
+    if cap < min_tokens:
+        cap = min_tokens
+    return cap
+
+
+def _frozen_settle(b, now, rate):
+    """The settle-and-cap arithmetic the quota and AIMD gates each
+    inlined before the bucket owned it, on a plain dict ``b``."""
+    tokens = b["tokens"]
+    old_rate = b["rate"]
+    elapsed = now - b["last_refill"]
+    if elapsed > 0:
+        cap = _frozen_capacity(old_rate, b["burst_s"], b["min_tokens"])
+        tokens += elapsed * old_rate
+        if tokens > cap:
+            tokens = cap
+        b["last_refill"] = now
+    b["rate"] = rate
+    cap = _frozen_capacity(rate, b["burst_s"], b["min_tokens"])
+    if tokens > cap:
+        tokens = cap
+    return tokens
+
+
+def _frozen_set_rate_and_take(b, now, rate):
+    tokens = _frozen_settle(b, now, rate)
+    if tokens >= 1.0:
+        b["tokens"] = tokens - 1.0
+        return True
+    b["tokens"] = tokens
+    return False
+
+
+def _frozen_aimd_gate(b, now, rate):
+    tokens = _frozen_settle(b, now, rate)
+    b["tokens"] = tokens
+    return tokens >= 1.0
+
+
+def _frozen_refund(b):
+    cap = _frozen_capacity(b["rate"], b["burst_s"], b["min_tokens"])
+    b["tokens"] = min(b["tokens"] + 1.0, max(cap, 1.0))
+
+
+class TestTokenBucketBitExact:
+    """``ready``, ``try_take`` and ``refund`` reproduce, float for
+    float, the bucket arithmetic the gates used to inline."""
+
+    RATES = (0.0, 0.02, 0.05, 0.5, 1.0, 3.0, 250.0)
+
+    def _script(self, rng):
+        burst_s = rng.choice((0.5, 1.0, 10.0))
+        min_tokens = rng.choice((0.25, 0.5, 1.0, 2.0))
+        rate = rng.choice(self.RATES)
+        bucket = TokenBucket(rate=rate, burst_s=burst_s,
+                             min_tokens=min_tokens)
+        frozen = {"rate": rate, "burst_s": burst_s,
+                  "min_tokens": min_tokens, "last_refill": 0.0,
+                  "tokens": _frozen_capacity(rate, burst_s, min_tokens)}
+        now = 0.0
+        for _ in range(80):
+            # Time stands still, steps back or moves on (elapsed <= 0
+            # must settle nothing).
+            now += rng.choice((-1.5, 0.0, 0.0, 0.01, 0.7, 4.0, 60.0))
+            rate = (frozen["rate"] if rng.random() < 0.4
+                    else rng.choice(self.RATES))
+            op = rng.choice(("take", "gate", "try_take", "refund",
+                             "refund"))
+            if op == "take":
+                got = bucket.ready(now, rate)
+                if got:
+                    bucket.tokens -= 1.0
+                want = _frozen_set_rate_and_take(frozen, now, rate)
+            elif op == "gate":
+                got = bucket.ready(now, rate)
+                want = _frozen_aimd_gate(frozen, now, rate)
+            elif op == "try_take":
+                got = bucket.try_take(now)
+                want = _frozen_set_rate_and_take(frozen, now,
+                                                 frozen["rate"])
+            else:
+                bucket.refund()
+                _frozen_refund(frozen)
+                got = want = None
+            assert got == want, (op, now, rate)
+            assert bucket.tokens == frozen["tokens"], (op, now, rate)
+            assert bucket.rate == frozen["rate"]
+            assert bucket.last_refill == frozen["last_refill"]
+            assert bucket.capacity == _frozen_capacity(
+                frozen["rate"], burst_s, min_tokens)
+
+    def test_random_sequences_match_frozen_arithmetic(self):
+        rng = random.Random(20231023)
+        for _ in range(400):
+            self._script(rng)
+
+    def test_refund_over_small_capacity_is_clipped_at_same_rate(self):
+        # A refund may leave tokens above a capacity below one token;
+        # the next check at the same time and rate must clip them.
+        bucket = TokenBucket(rate=0.05, burst_s=10.0, min_tokens=0.5)
+        assert bucket.capacity == 0.5
+        bucket.refund()
+        assert bucket.tokens == 1.0
+        assert not bucket.ready(0.0, 0.05)
+        assert bucket.tokens == 0.5
 
 
 class TestCentralRateLimiter:

@@ -10,6 +10,8 @@ Three load-bearing properties:
    kernel schedules (bound methods, periodic tasks, lambdas, closures).
 """
 
+import pytest
+
 from repro.metrics.recorder import MetricsRegistry
 from repro.profile import ProfileRecorder, event_key
 from repro.scenarios import build_dayrun
@@ -42,6 +44,32 @@ class TestProfiledDigestParity:
         assert total_calls > 0
         assert all(e["self_s"] >= 0.0 for e in entries)
         assert recorder.total_s > 0.0
+
+    def test_gate_rows_attributed(self):
+        # The scheduler gates through the pre-resolved entry points;
+        # the default targets must wrap those, not the by-name ones.
+        recorder = ProfileRecorder()
+        with recorder.installed():
+            build_dayrun(horizon_s=HORIZON_S, profiler=recorder)
+        rows = {(e["component"], e["event"]): e["count"]
+                for e in recorder.entries()}
+        assert rows.get(("CentralRateLimiter", "try_acquire_quota"), 0) > 0
+        assert rows.get(("CongestionController", "can_dispatch_state"),
+                        0) > 0
+
+    def test_install_rejects_unknown_target(self):
+        from repro.core.scheduler import Scheduler
+        original = Scheduler.tick
+        recorder = ProfileRecorder()
+        targets = (("repro.core.scheduler", "Scheduler", ("tick",)),
+                   ("repro.core.scheduler", "Scheduler", ("no_such",)))
+        with pytest.raises(AttributeError, match="Scheduler.no_such"):
+            recorder.install(targets)
+        # Nothing was wrapped, so nothing is left to uninstall.
+        assert Scheduler.tick is original
+        with pytest.raises(AttributeError):
+            recorder.install((("repro.core.scheduler", "NoSuchClass",
+                               ("tick",)),))
 
     def test_uninstall_restores_classes(self):
         from repro.core.scheduler import Scheduler
