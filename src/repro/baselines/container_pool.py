@@ -84,14 +84,15 @@ class ContainerPool:
         self.capacity_memory_mb = capacity_memory_mb
         self._memory_reserved = 0.0
         # Per-pool ids: two pools (or two back-to-back runs in one
-        # process) number their containers identically (simlint SL001).
+        # process) number their containers identically
+        # (``test_back_to_back_runs_identical``).
         self._container_ids = CallIdAllocator()
         self._specs: Dict[str, FunctionSpec] = {}
         self._limits: Dict[str, int] = {}
         self._containers: Dict[str, List[_Container]] = {}
         #: function name → its sampling stream; the registry hands back
         #: the same stream per name, so resolving once per function
-        #: (not per call) is behaviorally identical (simlint SL007).
+        #: (not per call) is behaviorally identical.
         self._streams: Dict[str, object] = {}
         self.cold_starts = 0
         self.warm_starts = 0
@@ -158,8 +159,7 @@ class ContainerPool:
         rng = self._streams.get(spec.name)
         if rng is None:
             rng = self._streams[spec.name] = \
-                self.sim.rng.stream(  # simlint: disable=SL007 -- memo miss
-                    f"baseline/{spec.name}")
+                self.sim.rng.stream(f"baseline/{spec.name}")
         cpu_minstr, _, exec_s = spec.profile.sample(rng, self.params.core_mips)
         startup = 0.0
         if cold:

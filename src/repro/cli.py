@@ -6,7 +6,6 @@ Examples::
     python -m repro simulate --hours 24 --rate 8 --no-time-shifting
     python -m repro simulate --hours 2 --json
     python -m repro sweep --runs 4 --workers 4 --ablate time-shifting
-    python -m repro lint --json
     python -m repro lifecycle
     python -m repro growth --years 5
 
@@ -411,8 +410,6 @@ _FUNCTIONS = _at_least(3)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .simlint.rules import rule_summary
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="XFaaS (SOSP 2023) reproduction — simulation CLI")
@@ -500,14 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "digest matches")
     prof_p.set_defaults(func=_cmd_profile)
 
-    # NOTE: the `lint` subcommand is dispatched in main() before this
-    # parser runs (argparse.REMAINDER mis-parses leading options,
-    # bpo-17050); it is registered here only so --help lists it.
-    sub.add_parser("lint",
-                   help="determinism & sim-safety static analysis "
-                        f"({rule_summary()}; see `python -m repro lint "
-                        "--help`)")
-
     life_p = sub.add_parser("lifecycle",
                             help="print the Figure 1 lifecycle cost table")
     life_p.add_argument("--execute-s", type=_NON_NEGATIVE, default=1.0)
@@ -521,13 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "lint":
-        # Self-contained, stdlib-only; owns its argument parsing.
-        from .simlint.cli import main as lint_main
-        return lint_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

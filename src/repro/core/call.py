@@ -19,9 +19,11 @@ class CallIdAllocator:
     """Deterministic per-owner source of call ids (1, 2, 3, ...).
 
     Ids must depend only on the run that allocates them, never on how
-    many simulations the process ran before (simlint SL001 — the PR 2
-    ``core/platform.py`` bug), so the counter lives on the owning
-    object (platform, pool, test harness), not at module level.
+    many simulations the process ran before, so the counter lives on
+    the owning object (platform, pool, test harness), not at module
+    level.  The back-to-back-run tests (``test_determinism_trace.py``,
+    ``test_baselines.py``, ``test_triggers.py``) fail on a shared
+    counter.
     """
 
     __slots__ = ("_next",)

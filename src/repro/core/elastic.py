@@ -108,7 +108,7 @@ class ElasticPool:
         available = self.schedule.is_available(self.sim.now)
         # Legitimate: grant/reclaim must touch every elastic view; pools
         # are small and the sweep runs once a minute.
-        for worker in self.workers:  # simlint: disable=SL008 -- reclaim
+        for worker in self.workers:
             if available and not worker.available:
                 worker.grant()
                 self.grants += 1
@@ -118,8 +118,7 @@ class ElasticPool:
 
     @property
     def available_workers(self) -> List[ElasticWorker]:
-        return [w for w in self.workers  # simlint: disable=SL008 -- view
-                if w.available]
+        return [w for w in self.workers if w.available]
 
     def stop(self) -> None:
         self._task.cancel()

@@ -135,7 +135,8 @@ class XFaaS:
         self._specs: Dict[str, FunctionSpec] = {}
 
         # Per-call metrics resolved once here; the submit/finish hot
-        # paths below use the handles directly (simlint SL007).
+        # paths below use the handles directly (xbench measures the
+        # per-event cost).
         self._calls_received = self.metrics.bind_counter("calls.received")
         self._calls_executed = self.metrics.bind_counter("calls.executed")
         self._calls_throttled = self.metrics.bind_counter("calls.throttled")
@@ -357,8 +358,8 @@ class XFaaS:
         now = self.sim.now
         # call_id comes from the platform's own allocator: ids (and thus
         # trace digests) must depend only on this run, never on how many
-        # simulations the process ran before (simlint SL001) — the sweep
-        # engine compares digests across workers.
+        # simulations the process ran before (the in-process digest pins
+        # check it) — the sweep engine compares digests across workers.
         call = FunctionCall(spec=spec, submit_time=now,
                             start_time=now + start_delay_s,
                             region_submitted=region,
@@ -398,8 +399,7 @@ class XFaaS:
 
     @property
     def all_workers(self) -> List[Worker]:
-        return [  # simlint: disable=SL008 -- flat registration-order view
-            w for ws in self.workers_by_region.values() for w in ws]
+        return [w for ws in self.workers_by_region.values() for w in ws]
 
     def completed_count(self) -> int:
         return sum(s.completed_count for s in self.schedulers.values())
@@ -452,8 +452,7 @@ class XFaaS:
                 ctr = self._backpressure_counters.get(service_name)
                 if ctr is None:
                     ctr = self._backpressure_counters[service_name] = \
-                        self.metrics.counter(  # simlint: disable=SL007 -- memo miss
-                            f"backpressure.{service_name}")
+                        self.metrics.counter(f"backpressure.{service_name}")
                 ctr.add(self.sim.now, result.exceptions)
             if result.failures:
                 outcome = CallOutcome.ERROR

@@ -54,8 +54,9 @@ class Rim:
         self._fleet_util: float = 0.0
         self._task = None
         self._fleet_gauge = metrics.bind_gauge("fleet.utilization")
-        #: region -> bound utilization gauge (simlint SL007: no f-string
-        #: gauge lookup inside the sampling loop).
+        #: region -> bound utilization gauge: no f-string gauge lookup
+        #: inside the sampling loop (xbench ``control.self_s`` measures
+        #: the loop).
         self._region_gauges: Dict[str, Gauge] = {}
 
     # ------------------------------------------------------------------

@@ -170,7 +170,8 @@ class Worker:
             store.views[index] = self
         self._index = index
         #: function name → its shared resource-sampling stream; avoids
-        #: rebuilding the f-string stream name per call (simlint SL007).
+        #: rebuilding the f-string stream name per call (xbench
+        #: ``worker.self_s`` measures the per-call cost).
         self._resource_streams: Dict[str, RngStream] = {}
         #: JIT speed memo for the current timestamp (admission probes a
         #: worker many times within one scheduling sweep).
@@ -391,8 +392,7 @@ class Worker:
             rng = self._resource_streams.get(name)
             if rng is None:
                 rng = self._resource_streams[name] = \
-                    self.sim.rng.stream(  # simlint: disable=SL007 -- memo miss
-                        f"resources/{name}")
+                    self.sim.rng.stream(f"resources/{name}")
             call.resources = call.spec.profile.sample(
                 rng, self.machine.core_mips)
         return call.resources

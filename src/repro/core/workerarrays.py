@@ -65,8 +65,9 @@ Aggregates
 ``total_running`` is maintained O(1) on the execute/complete path, and
 ``capacity_threads`` on every append, so fleet-level supply and demand
 signals (RIM capacity and free threads) never need an O(n) scan over
-worker objects inside a sim-clock handler — the anti-pattern simlint
-rule SL008 flags.
+worker objects inside a sim-clock handler.  A scan would build every
+lazy view, which ``test_cold_rows.py::TestViewsBuiltOnFirstAccess``
+rejects, and xbench fleet-100k shows its cost.
 
 Active rows
 -----------

@@ -47,7 +47,7 @@ class MetricsRegistry:
     # but a component must re-bind if it swaps registries.
     def bind_counter(self, name: str, window: Optional[float] = None) -> Counter:
         """Resolve-once handle for a hot-path counter (same object as
-        :meth:`counter`; the separate name marks intent for simlint)."""
+        :meth:`counter`; the separate name marks hot-path intent)."""
         return self.counter(name, window)
 
     def bind_gauge(self, name: str, initial: float = 0.0,

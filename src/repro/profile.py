@@ -19,9 +19,9 @@ on every push (`python -m repro profile --quick --expect-digest …`) and
 ``tests/test_profile.py`` locks it at unit level.
 
 Wall-clock reads are allowed *here* because this module is harness code
-that wraps the simulation from outside; it is deliberately a top-level
-module (like ``repro.cli``) so simlint's SL002 wall-clock rule keeps
-gating everything that runs *under* the simulated clock.
+that wraps the simulation from outside.  Everything that runs *under* the
+simulated clock reads ``sim.now`` only; a wall-clock read there would
+break the digest pins.
 
 Usage::
 

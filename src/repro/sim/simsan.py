@@ -1,7 +1,7 @@
 """simsan — the opt-in runtime determinism sanitizer.
 
-The static rules in :mod:`repro.simlint` prove properties of the
-*code*; simsan checks determinism invariants on the *running*
+The trace and metrics digest pins prove a run *reproduces*; simsan
+checks the determinism invariants behind them on the *running*
 simulation.  ``Simulator(sanitize=True)`` (or ``python -m repro
 simulate --sanitize``) wraps the kernel's RNG registry and lets
 platforms wrap their region-keyed maps in checking proxies that raise

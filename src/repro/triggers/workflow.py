@@ -67,7 +67,8 @@ class WorkflowEngine:
         self._inflight: Dict[int, tuple] = {}
         self.instances: List[WorkflowInstance] = []
         # Per-engine ids: instance numbering restarts with each engine,
-        # keeping back-to-back runs replayable (simlint SL001).
+        # keeping back-to-back runs replayable
+        # (``test_back_to_back_runs_identical``).
         self._instance_ids = CallIdAllocator()
         platform.add_completion_listener(self._on_completion)
 

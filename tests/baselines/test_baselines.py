@@ -149,10 +149,10 @@ class TestContainerPool:
             pool.submit("ghost")
 
     def test_back_to_back_runs_identical(self):
-        # Regression for the PR 2 class of bug (simlint SL001): ids used
-        # to come from a module-level counter, so a second run in the
-        # same process numbered containers differently from a fresh
-        # process.  Two identical runs must now match exactly.
+        # Regression: ids used to come from a module-level counter, so
+        # a second run in the same process numbered containers
+        # differently from a fresh process.  Two identical runs must
+        # now match exactly.
         def run():
             sim, pool, results = self._pool(sim=Simulator(seed=7))
             pool.register_function(FunctionSpec(name="f", profile=profile()))

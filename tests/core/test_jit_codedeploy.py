@@ -42,6 +42,21 @@ class TestRuntimeJit:
         assert jit.speed(480.0) == 1.0
         assert jit.speed(400.0) < 1.0
 
+    def test_profile_arrival_equals_seeded_restart_at_that_time(self):
+        # The shortened ramp is anchored at the arrival time itself, not
+        # at the old anchor plus a float delta (which drifts by an ulp
+        # at times like these and moves every later service duration).
+        late = RuntimeJit()
+        late.restart(100.1, with_profile_data=False)
+        late.receive_profile_data(400.7)
+        seeded = RuntimeJit()
+        seeded.restart(400.7, with_profile_data=True)
+        times = [400.7 + 7.3 * k for k in range(30)]
+        assert [late.speed(t) for t in times] == \
+            [seeded.speed(t) for t in times]
+        assert [late.time_to_max(t) for t in times] == \
+            [seeded.time_to_max(t) for t in times]
+
     def test_profile_after_warm_is_noop(self):
         jit = RuntimeJit()
         jit.restart(0.0, with_profile_data=False)

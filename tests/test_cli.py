@@ -84,12 +84,13 @@ class TestParser:
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {argv[1]}" in err
 
-    def test_lint_help_lists_every_rule(self, capsys):
-        from repro.simlint import ALL_RULES
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        out = capsys.readouterr().out
-        assert f"{len(ALL_RULES)} rules" in out
+    def test_lint_is_an_unknown_subcommand(self, capsys):
+        # A stale script that still calls `repro lint` fails loudly.
+        with pytest.raises(SystemExit) as exc:
+            main(["lint"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'lint'" in err
 
 
 class TestCommands:

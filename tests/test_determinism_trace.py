@@ -42,7 +42,8 @@ HORIZON_S = 420.0
 def _run_mini_dayrun(seed: int):
     # Call ids come from the platform's own CallIdAllocator, so two
     # back-to-back runs in one process see identical ids with no reset
-    # step — the property simlint rule SL001 enforces statically.
+    # step — test_same_seed_identical_trace_hash fails on a shared
+    # module-level counter.
     sim = Simulator(seed=seed)
     population = build_population(n_functions=24, total_rate=6.0,
                                   opportunistic_fraction=0.5)

@@ -233,10 +233,9 @@ class TestWorkflowEngine:
             engine.start("ghost")
 
     def test_back_to_back_runs_identical(self):
-        # Regression for the PR 2 class of bug (simlint SL001):
-        # instance ids used to come from a module-level counter, so a
-        # second engine in the same process numbered instances
-        # differently from a fresh process.
+        # Regression: instance ids used to come from a module-level
+        # counter, so a second engine in the same process numbered
+        # instances differently from a fresh process.
         def run():
             sim, platform = self._platform(seed=15)
             engine = WorkflowEngine(platform)
