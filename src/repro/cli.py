@@ -152,7 +152,7 @@ def _simulate_summary(args: argparse.Namespace, platform: XFaaS,
                       sim: Simulator, utils: dict, fleet: list) -> dict:
     """Machine-readable run summary for ``simulate --json``.
 
-    Consumed by the sweep aggregator and CI; keys are stable API.
+    CI's digest gates read it; keys are stable API.
     """
     metrics = platform.metrics
     summary = {
@@ -204,8 +204,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweeping {len(specs)} runs ({len(variants)} variant(s) × "
               f"{args.runs} seed(s), {args.hours} h each) on "
               f"{args.workers} worker(s) ...", flush=True)
-    results = run_sweep(specs, workers=args.workers,
-                        mp_context=args.start_method)
+    results = run_sweep(specs, workers=args.workers)
     report = sweep_report(results)
 
     if args.json:
@@ -463,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(repeatable)")
     sweep_p.add_argument("--workers", type=_at_least(1), default=1,
                          help="worker processes (1 = serial, in-process)")
-    sweep_p.add_argument("--start-method", default="spawn",
-                         choices=("spawn", "fork", "forkserver"))
     sweep_p.add_argument("--json", action="store_true",
                          help="emit the full sweep report as JSON")
     sweep_p.set_defaults(func=_cmd_sweep)

@@ -48,7 +48,6 @@ class CallState(enum.Enum):
     COMPLETED = "completed"
     FAILED = "failed"
     THROTTLED = "throttled"    # rejected at submission by rate limiting
-    EXPIRED = "expired"
 
 
 class CallOutcome(enum.Enum):

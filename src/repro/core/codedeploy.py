@@ -22,7 +22,10 @@ from typing import Callable, List, Optional, Sequence
 
 from ..sim.kernel import Simulator
 from ..sim.sampler import SamplerHub
-from .jit import JitParams
+
+#: How long a phase-2 seeder worker profiles before its data is
+#: distributed to its locality group.
+SEEDER_PROFILE_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,11 @@ class CodeDeployer:
     """
 
     def __init__(self, sim: Simulator, params: RolloutParams = RolloutParams(),
-                 jit_params: JitParams = JitParams(),
                  cooperative_jit: bool = True,
                  timers: Optional[SamplerHub] = None) -> None:
         self.sim = sim
         self._timers = timers
         self.params = params
-        self.jit_params = jit_params
         self.cooperative_jit = cooperative_jit
         #: Registered worker blocks, in registration order.
         self._blocks: List[Sequence] = []
@@ -136,7 +137,7 @@ class CodeDeployer:
         # Seeder data also reaches the phase-1/2 workers, shortening any
         # ramp they still have.
         if self.cooperative_jit:
-            t_profile = t_phase2 + self.jit_params.seeder_profile_s
+            t_profile = t_phase2 + SEEDER_PROFILE_S
             for w in canaries + phase2:
                 self.sim.call_at(t_profile, _profile_receiver(w))
         self.sim.call_at(t_phase3, self._count_rollout)

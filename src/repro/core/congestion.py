@@ -27,6 +27,9 @@ from ..util import add_slots
 from ..workloads.spec import FunctionSpec
 from .ratelimiter import TokenBucket
 
+#: AIMD never cuts a function's RPS limit below this floor.
+MIN_RPS = 0.1
+
 
 @dataclass(frozen=True)
 class CongestionParams:
@@ -40,7 +43,6 @@ class CongestionParams:
     slow_start_threshold_calls: float = 100.0  # T
     slow_start_growth: float = 0.20        # α
     initial_rps: float = 1.0e9             # effectively uncapped until AIMD engages
-    min_rps: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0 < self.multiplicative_decrease < 1:
@@ -183,10 +185,10 @@ class CongestionController:
                 # uncapped initial limit.
                 if not st.aimd_engaged:
                     observed_rps = st.window_dispatches / p.adjust_window_s
-                    st.rps_limit = max(observed_rps, p.min_rps)
+                    st.rps_limit = max(observed_rps, MIN_RPS)
                     st.aimd_engaged = True
                 st.rps_limit = max(
-                    st.rps_limit * p.multiplicative_decrease, p.min_rps)
+                    st.rps_limit * p.multiplicative_decrease, MIN_RPS)
                 self.decrease_count += 1
             elif st.aimd_engaged:
                 st.rps_limit = st.rps_limit + p.additive_increase_rps

@@ -26,27 +26,27 @@ from .scheduler import TRAFFIC_MATRIX_KEY
 
 TrafficMatrix = Dict[str, Dict[str, float]]
 
+#: A region is overloaded when backlog exceeds this multiple of its
+#: fair (capacity-proportional) share.
+OVERLOAD_TOLERANCE = 1.10
+
 
 @dataclass(frozen=True)
 class GtcParams:
-    """Traffic-matrix update cadence and overload tolerance."""
+    """Traffic-matrix update cadence."""
 
     update_interval_s: float = 60.0
-    #: A region is overloaded when backlog exceeds this multiple of its
-    #: fair (capacity-proportional) share.
-    overload_tolerance: float = 1.10
 
     def __post_init__(self) -> None:
         if self.update_interval_s <= 0:
             raise ValueError("update_interval_s must be positive")
-        if self.overload_tolerance < 1.0:
-            raise ValueError("overload_tolerance must be >= 1")
 
 
 def compute_traffic_matrix(backlog: Dict[str, float],
                            capacity: Dict[str, float],
                            network: NetworkModel,
-                           tolerance: float = 1.10) -> TrafficMatrix:
+                           tolerance: float = OVERLOAD_TOLERANCE
+                           ) -> TrafficMatrix:
     """The §4.4 algorithm as a pure function (unit-testable).
 
     ``backlog[j]`` is region j's pending work (calls), ``capacity[i]``
@@ -138,9 +138,7 @@ class GlobalTrafficConductor:
         regions = self.rim.regions()
         backlog = {r: float(self.rim.region_backlog(r)) for r in regions}
         capacity = {r: self.rim.region_capacity(r) for r in regions}
-        matrix = compute_traffic_matrix(
-            backlog, capacity, self.network,
-            tolerance=self.params.overload_tolerance)
+        matrix = compute_traffic_matrix(backlog, capacity, self.network)
         self.last_matrix = matrix
         self.config.publish(TRAFFIC_MATRIX_KEY, matrix)
         self.update_count += 1

@@ -30,9 +30,6 @@ class JitParams:
     #: Seconds to reach max RPS with self-instrumented profiling
     #: (Fig 12: 21 minutes between T900 and T2160).
     unseeded_ramp_s: float = 1260.0
-    #: How long a phase-2 seeder worker profiles before its data is
-    #: distributed to its locality group.
-    seeder_profile_s: float = 600.0
 
     def __post_init__(self) -> None:
         if not 0 < self.floor <= 1:

@@ -10,6 +10,7 @@ so store occupancy tracks in-flight spilled calls.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict
 
@@ -18,11 +19,9 @@ from ..sim.kernel import Simulator
 
 @dataclass(frozen=True)
 class KVStoreParams:
-    """Shard count, latencies, and per-shard capacity."""
+    """Shard count and per-shard capacity."""
 
     shards: int = 8
-    put_latency_s: float = 0.010
-    get_latency_s: float = 0.005
     #: Per-shard capacity; PUTs beyond it are rejected (caller retries
     #: or fails the submission).
     shard_capacity_mb: float = 4096.0
@@ -49,7 +48,9 @@ class DistributedKVStore:
         self.reject_count = 0
 
     def _shard_of(self, key: str) -> int:
-        return hash(key) % self.params.shards
+        # crc32, not hash(): str hashes are salted per process
+        # (PYTHONHASHSEED), which would make shard fill nondeterministic.
+        return zlib.crc32(key.encode()) % self.params.shards
 
     def put(self, key: str, size_kb: float) -> bool:
         """Store an entry; False when the target shard is full."""

@@ -29,20 +29,19 @@ from ..workloads.spec import FunctionSpec
 from .config import ConfigStore
 from .workerarrays import WorkerArrays
 
+#: Re-run the partition this often (profiles drift, §4.5.2).
+REASSIGN_INTERVAL_S = 1800.0
+
 
 @dataclass(frozen=True)
 class LocalityParams:
-    """Group count and reassignment/rebalancing cadences (§4.5.2)."""
+    """Group count and rebalancing cadence (§4.5.2)."""
 
     n_groups: int = 4
-    #: Re-run the partition this often (profiles drift, §4.5.2).
-    reassign_interval_s: float = 1800.0
     #: Rebalance workers between groups this often (load drift).
     rebalance_interval_s: float = 600.0
     #: Move a worker when a group's load exceeds another's by this factor.
     rebalance_ratio: float = 1.3
-    #: Samples used to estimate a function's expected memory.
-    mem_estimate_samples: int = 50
 
     def __post_init__(self) -> None:
         if self.n_groups < 1:
@@ -117,8 +116,8 @@ class LocalityOptimizer:
         p = self.params
         timers = self._timers if self._timers is not None else self.sim
         self._tasks.append(timers.every(
-            p.reassign_interval_s, self.reassign,
-            start=self.sim.now + p.reassign_interval_s))
+            REASSIGN_INTERVAL_S, self.reassign,
+            start=self.sim.now + REASSIGN_INTERVAL_S))
         self._tasks.append(timers.every(
             p.rebalance_interval_s, self.rebalance_workers,
             start=self.sim.now + p.rebalance_interval_s))

@@ -52,13 +52,15 @@ from .worker import Worker, WorkerParams
 from .workerarrays import WorkerArrays, WorkerViews
 from .workerlb import WorkerLB
 
+#: DurableQ shards per region (§4.3).
+DURABLEQ_SHARDS_PER_REGION = 2
+
 
 @dataclass(frozen=True)
 class PlatformParams:
     """All tunables plus ablation feature flags."""
 
     namespace: str = "default"
-    durableq_shards_per_region: int = 2
     scheduler: SchedulerParams = field(default_factory=SchedulerParams)
     worker: WorkerParams = field(default_factory=WorkerParams)
     jit: JitParams = field(default_factory=JitParams)
@@ -72,12 +74,10 @@ class PlatformParams:
     #: much regional locality with DurableQ-capacity-proportional spread
     #: (None keeps the default submit-locally policy).
     queuelb_locality_bias: Optional[float] = None
-    config_propagation_s: float = 5.0
     rim_sample_interval_s: float = 60.0
     #: Hourly window for the Fig 9 distinct-functions metric.
     distinct_window_s: float = 3600.0
     memory_sample_interval_s: float = 60.0
-    collect_traces: bool = True
     start_code_deployer: bool = False
 
     # Ablation flags (§1.2 techniques).
@@ -127,7 +127,7 @@ class XFaaS:
         self.arena = InFlightCalls()
         self.services = services or ServiceRegistry()
         self.namespaces = NamespaceRegistry()
-        self.config = ConfigStore(sim, params.config_propagation_s)
+        self.config = ConfigStore(sim)
         self.rate_limiter = CentralRateLimiter()
         self.client_limiter = ClientRateLimiter()
         self.kvstore = DistributedKVStore(sim)
@@ -137,15 +137,13 @@ class XFaaS:
         # Per-call metrics resolved once here; the submit/finish hot
         # paths below use the handles directly (xbench measures the
         # per-event cost).
-        self._calls_received = self.metrics.bind_counter("calls.received")
-        self._calls_executed = self.metrics.bind_counter("calls.executed")
-        self._calls_throttled = self.metrics.bind_counter("calls.throttled")
-        self._cpu_reserved = self.metrics.bind_counter("cpu.reserved")
-        self._cpu_opportunistic = self.metrics.bind_counter(
-            "cpu.opportunistic")
-        self._queueing_latency = self.metrics.bind_distribution(
-            "latency.queueing")
-        self._completion_latency = self.metrics.bind_distribution(
+        self._calls_received = self.metrics.counter("calls.received")
+        self._calls_executed = self.metrics.counter("calls.executed")
+        self._calls_throttled = self.metrics.counter("calls.throttled")
+        self._cpu_reserved = self.metrics.counter("cpu.reserved")
+        self._cpu_opportunistic = self.metrics.counter("cpu.opportunistic")
+        self._queueing_latency = self.metrics.distribution("latency.queueing")
+        self._completion_latency = self.metrics.distribution(
             "latency.completion")
         self._backpressure_counters: Dict[str, Counter] = {}
         # Built lazily on first submit (topology shares are final then).
@@ -164,7 +162,7 @@ class XFaaS:
             region_map(sanitizer, "durableqs_by_region")
         for r in regions:
             shards = [DurableQ(sim, name=f"dq/{r}/{i}", region=r)
-                      for i in range(params.durableq_shards_per_region)]
+                      for i in range(DURABLEQ_SHARDS_PER_REGION)]
             self.durableqs_by_region[r] = shards
 
         # --- Controllers (off the critical path) ----------------------
@@ -185,7 +183,7 @@ class XFaaS:
         self.utilization_controller = UtilizationController(
             sim, self.rim, self.config, params.utilization,
             timers=self.sampler_hub)
-        self.deployer = CodeDeployer(sim, params.rollout, params.jit,
+        self.deployer = CodeDeployer(sim, params.rollout,
                                      cooperative_jit=params.cooperative_jit,
                                      timers=self.sampler_hub)
         if not params.time_shifting:
@@ -475,9 +473,7 @@ class XFaaS:
             self._queueing_latency.add(
                 max(0.0, call.dispatch_time - eligible))
             self._completion_latency.add(now - call.submit_time)
-        if self.params.collect_traces:
-            self.traces.add_call(
-                call, outcome.value if outcome else "unknown")
+        self.traces.add_call(call, outcome.value if outcome else "unknown")
         for listener in self._completion_listeners:
             listener(call, outcome)
         self.arena.live -= 1
@@ -485,8 +481,7 @@ class XFaaS:
     def _on_throttle(self, call: FunctionCall) -> None:
         self.throttled_count += 1
         self._calls_throttled.add(self.sim.now)
-        if self.params.collect_traces:
-            self.traces.add_call(call, "throttled")
+        self.traces.add_call(call, "throttled")
         self.arena.live -= 1
 
     # ------------------------------------------------------------------

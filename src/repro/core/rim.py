@@ -53,7 +53,7 @@ class Rim:
         self._region_util: Dict[str, float] = {}
         self._fleet_util: float = 0.0
         self._task = None
-        self._fleet_gauge = metrics.bind_gauge("fleet.utilization")
+        self._fleet_gauge = metrics.gauge("fleet.utilization")
         #: region -> bound utilization gauge: no f-string gauge lookup
         #: inside the sampling loop (xbench ``control.self_s`` measures
         #: the loop).
@@ -68,7 +68,7 @@ class Rim:
         if region in self._stores:
             raise ValueError(f"{region!r} already has a worker store")
         self._stores[region] = store
-        self._region_gauges[region] = self.metrics.bind_gauge(
+        self._region_gauges[region] = self.metrics.gauge(
             f"region.{region}.utilization")
 
     def register_durableqs(self, region: str, shards: List[DurableQ]) -> None:

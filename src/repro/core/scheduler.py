@@ -53,7 +53,7 @@ _HEAD_KEY = operator.itemgetter(0)
 
 @dataclass(frozen=True)
 class SchedulerParams:
-    """Polling cadence, buffer/RunQ capacities, and expiry policy."""
+    """Polling cadence and buffer/RunQ capacities."""
 
     poll_interval_s: float = 1.0
     poll_batch_max: int = 500
@@ -67,9 +67,6 @@ class SchedulerParams:
     #: exhaust the shared buffer budget and stall polling for everyone.
     per_function_buffer_cap: int = 100
     lease_extension_interval_s: float = 60.0
-    #: Drop calls whose completion deadline passed while still queued
-    #: (off by default: deadlines are SLOs, not hard drops).
-    drop_expired: bool = False
 
     def __post_init__(self) -> None:
         if self.poll_interval_s <= 0:
@@ -125,6 +122,8 @@ class Scheduler:
         self.dispatched_count = 0
         self.completed_count = 0
         self.failed_count = 0
+        #: Always 0: no call expires in the pipeline.  Kept because
+        #: ``benchmarks/xbench/workloads.py`` reads it.
         self.expired_count = 0
         self.deferred_gate_hits = 0
         self.isolation_denials = 0
@@ -289,7 +288,6 @@ class Scheduler:
         park_cap = min(self.PARK_LIMIT, self.runq.capacity)
         heappop_ = heapq.heappop
         heappush_ = heapq.heappush
-        drop_expired = self.params.drop_expired
         lookahead = self.PLACEMENT_LOOKAHEAD
         gate_states = self._gate_states
         for _, buffer in heads:
@@ -302,8 +300,8 @@ class Scheduler:
             cong_st, quota = gates
             # The per-call loop runs over the buffer's heap directly —
             # the peek/len indirections cost more than the loop body
-            # under a full sweep.  Terminal checks keep the original
-            # order: flow first, then deadline; finalize before pop.
+            # under a full sweep.  A terminal check finalizes before it
+            # pops.
             heap = buffer._heap
             placement_failures = 0
             deferred: List[BufferEntry] = []
@@ -314,14 +312,6 @@ class Scheduler:
                 if call.source_level > spec.isolation_level:
                     self.isolation_denials += 1
                     self._finalize(call, CallOutcome.ISOLATION_DENIED)
-                    heappop_(heap)
-                    self._buffered_total -= 1
-                    continue  # terminal; next call
-                # head[1] is the entry's deadline slot — exactly
-                # start_time + spec.deadline_s.
-                if drop_expired and now > head[1]:
-                    self.expired_count += 1
-                    self._finalize(call, CallOutcome.ERROR, expired=True)
                     heappop_(heap)
                     self._buffered_total -= 1
                     continue  # terminal; next call
@@ -439,16 +429,13 @@ class Scheduler:
         else:
             self._finalize(call, outcome)
 
-    def _finalize(self, call: FunctionCall, outcome: CallOutcome,
-                  expired: bool = False) -> None:
+    def _finalize(self, call: FunctionCall, outcome: CallOutcome) -> None:
         entry = self._inflight.pop(call.call_id, None)
         if entry is not None:
             _, shard = entry
             shard.ack(call)
         call.outcome = outcome
-        if expired:
-            call.state = CallState.EXPIRED
-        elif outcome is CallOutcome.OK:
+        if outcome is CallOutcome.OK:
             call.state = CallState.COMPLETED
             self.completed_count += 1
         else:

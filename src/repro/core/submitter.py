@@ -21,6 +21,11 @@ from .kvstore import DistributedKVStore
 from .queuelb import QueueLB
 from .ratelimiter import ClientRateLimiter
 
+#: One KV-store round trip, paid by a batch holding spilled arguments.
+KV_STORE_WRITE_LATENCY_S = 0.010
+#: Smoothing factor of the per-client submission-rate EMA.
+SPIKY_EMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class SubmitterParams:
@@ -30,11 +35,9 @@ class SubmitterParams:
     batch_max_size: int = 100
     #: Arguments above this size go to the KV store, not the DurableQ.
     args_spill_threshold_kb: float = 64.0
-    kv_store_write_latency_s: float = 0.010
     #: Sustained submissions/s above which a normal-pool client is
     #: classified spiky (EMA-based).
     spiky_rate_threshold: float = 200.0
-    spiky_ema_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.batch_flush_interval_s <= 0:
@@ -51,10 +54,11 @@ class _ClientStats:
     window_count: int = 0
     window_start: float = 0.0
 
-    def observe(self, now: float, alpha: float) -> None:
+    def observe(self, now: float) -> None:
         """Count one submission, folding completed 1 s windows into the EMA."""
         elapsed = now - self.window_start
         if elapsed >= 1.0:
+            alpha = SPIKY_EMA_ALPHA
             rate = self.window_count / elapsed
             self.ema_rate = (1 - alpha) * self.ema_rate + alpha * rate
             # Long idle gaps decay the EMA like explicit zero windows.
@@ -102,7 +106,7 @@ class Submitter:
         client = call.spec.team
         stats = self._clients.setdefault(
             client, _ClientStats(window_start=now))
-        stats.observe(now, self.params.spiky_ema_alpha)
+        stats.observe(now)
 
         if not self.client_limiter.try_acquire(client, now):
             return self._throttle(call)
@@ -152,7 +156,7 @@ class Submitter:
         batch, self._batch = self._batch, []
         self.flush_count += 1
         # One batched write; spilled args add a KV round trip first.
-        delay = self.params.kv_store_write_latency_s if any(
+        delay = KV_STORE_WRITE_LATENCY_S if any(
             c.args_spilled for c in batch) else 0.0
 
         def write() -> None:

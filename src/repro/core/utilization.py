@@ -21,6 +21,12 @@ from .config import ConfigStore
 from .rim import Rim
 from .scheduler import S_MULTIPLIER_KEY
 
+#: S's floor (0 stops opportunistic scheduling) and starting value.
+S_MIN = 0.0
+S_INITIAL = 1.0
+#: Factor S is cut by on each update above ``overload_utilization``.
+OVERLOAD_BACKOFF = 0.5
+
 
 @dataclass(frozen=True)
 class UtilizationParams:
@@ -34,18 +40,15 @@ class UtilizationParams:
     #: Asymmetric by design: S falls multiplicatively under overload but
     #: rises gently, avoiding bang-bang oscillation around the target.
     gain: float = 0.75
-    s_min: float = 0.0
     s_max: float = 10.0
-    s_initial: float = 1.0
     #: Above this utilization, S is cut multiplicatively (fast backoff).
     overload_utilization: float = 0.90
-    overload_backoff: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0 < self.target_utilization < 1:
             raise ValueError("target_utilization must be in (0, 1)")
-        if self.s_min < 0 or self.s_max < self.s_min:
-            raise ValueError("need 0 <= s_min <= s_max")
+        if self.s_max < S_MIN:
+            raise ValueError(f"s_max must be >= {S_MIN}")
 
 
 class UtilizationController:
@@ -59,7 +62,7 @@ class UtilizationController:
         self.rim = rim
         self.config = config
         self.params = params
-        self.s = params.s_initial
+        self.s = S_INITIAL
         self.update_count = 0
         self._task = None
         config.publish(S_MULTIPLIER_KEY, self.s)
@@ -83,10 +86,9 @@ class UtilizationController:
         util = self.rim.fleet_utilization()
         if util >= p.overload_utilization:
             # Fast multiplicative backoff under overload; S may hit 0.
-            self.s = max(p.s_min, self.s * p.overload_backoff
-                         - 0.01)
+            self.s = max(S_MIN, self.s * OVERLOAD_BACKOFF - 0.01)
         else:
             error = p.target_utilization - util
-            self.s = min(p.s_max, max(p.s_min, self.s + p.gain * error))
+            self.s = min(p.s_max, max(S_MIN, self.s + p.gain * error))
         self.config.publish(S_MULTIPLIER_KEY, self.s)
         self.update_count += 1

@@ -39,15 +39,19 @@ FinishCallback = Callable[[FunctionCall, CallOutcome], None]
 #: outcome after downstream effects (OK, or ERROR on downstream failure).
 DownstreamGateway = Callable[[FunctionCall], CallOutcome]
 
+#: Latency to load a not-yet-resident function's code from local SSD
+#: (the residual "cold" cost of the universal worker; milliseconds,
+#: not the seconds of a container cold start).
+CODE_LOAD_S = 0.100
+#: Refuse admission if projected memory exceeds this fraction of
+#: physical memory (protection against OOM).
+MEMORY_HEADROOM = 0.92
+
 
 @dataclass(frozen=True)
 class WorkerParams:
     """Worker-level tunables."""
 
-    #: Latency to load a not-yet-resident function's code from local SSD
-    #: (the residual "cold" cost of the universal worker; milliseconds,
-    #: not the seconds of a container cold start).
-    code_load_s: float = 0.100
     #: Runtime baseline memory (process, shared libs, code cache floor).
     runtime_baseline_mb: float = 4096.0
     #: Budget for resident function code + JIT code + per-function
@@ -55,9 +59,6 @@ class WorkerParams:
     resident_budget_mb: float = 24 * 1024.0
     #: Resident memory per function ≈ code + JIT code + warm caches.
     resident_multiplier: float = 3.0
-    #: Refuse admission if projected memory exceeds this fraction of
-    #: physical memory (protection against OOM).
-    memory_headroom: float = 0.92
     #: Refuse admission if projected CPU load exceeds cores × factor.
     #: Slightly above 1.0 models OS timesharing: a core-bound call and a
     #: trickle of light calls coexist with marginal slowdown instead of
@@ -72,10 +73,6 @@ class WorkerParams:
     background_admission_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.code_load_s < 0:
-            raise ValueError("code_load_s must be >= 0")
-        if not 0 < self.memory_headroom <= 1:
-            raise ValueError("memory_headroom must be in (0, 1]")
         if not self.cpu_admission_factor > 0:
             raise ValueError("cpu_admission_factor must be > 0")
         # A fraction of 0 would refuse every background call forever;
@@ -153,7 +150,7 @@ class Worker:
         # computed exactly as the original per-call expressions did, so
         # the floats (and thus admission decisions) are bit-identical.
         self._baseline_mb = params.runtime_baseline_mb
-        self._mem_limit_mb = machine.memory_mb * params.memory_headroom
+        self._mem_limit_mb = machine.memory_mb * MEMORY_HEADROOM
         self._cpu_budget = machine.cores * params.cpu_admission_factor
         self._bg_cpu_budget = (self._cpu_budget *
                                params.background_admission_fraction)
@@ -322,7 +319,7 @@ class Worker:
         # Residual universal-worker cost: first call of a function loads
         # its (pre-pushed) code from local SSD.
         if name not in self._resident:
-            duration += self.params.code_load_s
+            duration += CODE_LOAD_S
             self._make_resident(name, call.spec.code_size_mb)
         else:
             self._resident.move_to_end(name)

@@ -9,13 +9,8 @@ Three flavours cover everything the paper's figures need:
 * :class:`Distribution` — value samples for percentile reporting
   (Table 3, Fig 9).
 
-All three support ``snapshot()`` / ``from_snapshot()`` / ``merge()`` so
-per-process copies produced by the sweep engine (:mod:`repro.sweep`) can
-be shipped across a ``multiprocessing`` boundary as plain dicts and
-folded into fleet-level metrics.  Counter and Distribution merges are
-exact (bucket sums / sample concatenation); a Gauge merge sums the two
-piecewise-constant levels over the union of their breakpoints, which is
-the fleet semantic ("total memory across shards"), not an average.
+All three support ``snapshot()``, a plain-dict copy of their state that
+``MetricsRegistry.digest`` hashes.
 """
 
 from __future__ import annotations
@@ -87,46 +82,12 @@ class Counter:
                t_end: Optional[float] = None) -> List[float]:
         return [v for _, v in self.series(t_start, t_end)]
 
-    # -- snapshot / merge ------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Picklable plain-dict state (see module docstring)."""
         return {"kind": "counter", "name": self.name, "window": self.window,
                 "total": self.total, "base": self._base,
                 "counts": list(self._counts)}
-
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, Any]) -> "Counter":
-        counter = cls(snap["name"], snap["window"])
-        counter.total = snap["total"]
-        counter._base = snap["base"]
-        counter._counts = array("d", snap["counts"])
-        return counter
-
-    def merge(self, other: "Counter") -> "Counter":
-        """Fold ``other`` into this counter (exact bucket-wise sum)."""
-        if other.window != self.window:
-            raise ValueError(
-                f"cannot merge counter {other.name!r} (window {other.window}) "
-                f"into {self.name!r} (window {self.window})")
-        if not other._counts:
-            return self
-        self.total += other.total
-        if not self._counts:
-            self._base = other._base
-            self._counts = array("d", other._counts)
-            return self
-        lo = min(self._base, other._base)
-        hi = max(self._base + len(self._counts),
-                 other._base + len(other._counts))
-        merged = array("d", bytes(8 * (hi - lo)))
-        for base, counts in ((self._base, self._counts),
-                             (other._base, other._counts)):
-            off = base - lo
-            for i, v in enumerate(counts):
-                merged[off + i] += v
-        self._base = lo
-        self._counts = merged
-        return self
 
 
 class Gauge:
@@ -199,42 +160,10 @@ class Gauge:
             return self._points[max(i, 0)][1]
         return max(vals)
 
-    # -- snapshot / merge ------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": "gauge", "name": self.name,
                 "points": [list(p) for p in self._points]}
-
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, Any]) -> "Gauge":
-        gauge = cls(snap["name"])
-        gauge._points = [(t, v) for t, v in snap["points"]]
-        return gauge
-
-    def merge(self, other: "Gauge") -> "Gauge":
-        """Sum the two levels over the union of their breakpoints.
-
-        The merged gauge at time ``t`` equals ``self(t) + other(t)``
-        (each gauge extends its first value backwards in time, matching
-        :meth:`time_average`), which aggregates per-shard levels into a
-        fleet total.
-        """
-        pts_a, pts_b = self._points, other._points
-        times = sorted({t for t, _ in pts_a} | {t for t, _ in pts_b})
-        ia = ib = 0
-        va, vb = pts_a[0][1], pts_b[0][1]
-        merged: List[Tuple[float, float]] = []
-        for t in times:
-            while ia < len(pts_a) and pts_a[ia][0] <= t:
-                va = pts_a[ia][1]
-                ia += 1
-            while ib < len(pts_b) and pts_b[ib][0] <= t:
-                vb = pts_b[ib][1]
-                ib += 1
-            v = va + vb
-            if not merged or merged[-1][1] != v:
-                merged.append((t, v))
-        self._points = merged
-        return self
 
 
 class Distribution:
@@ -313,25 +242,7 @@ class Distribution:
         self._ensure_sorted()
         return bisect.bisect_left(self._samples, threshold) / len(self._samples)
 
-    # -- snapshot / merge ------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": "distribution", "name": self.name,
                 "samples": list(self._samples)}
-
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, Any]) -> "Distribution":
-        dist = cls(snap["name"])
-        dist._samples = array("d", snap["samples"])
-        dist._sorted = all(a <= b for a, b in
-                           zip(dist._samples, dist._samples[1:]))
-        return dist
-
-    def merge(self, other: "Distribution") -> "Distribution":
-        """Concatenate ``other``'s samples; percentiles stay exact."""
-        if not len(other._samples):
-            return self
-        boundary_ok = (not self._samples or
-                       other._samples[0] >= self._samples[-1])
-        self._sorted = self._sorted and other._sorted and boundary_ok
-        self._samples.extend(other._samples)
-        return self

@@ -33,10 +33,6 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-#: Backwards-compatible alias (pre-sweep internal name).
-_derive_seed = derive_seed
-
-
 class RngStream:
     """A named wrapper around :class:`random.Random` with simulation helpers."""
 

@@ -4,7 +4,7 @@ The paper's claims are fleet-shape claims; checking them properly means
 running the same scenario across many seeds and configuration variants
 and reporting confidence intervals, which is only practical when a grid
 of simulations is cheap.  This package fans a grid of
-``(scenario, seed, overrides)`` specs out across CPU cores and merges
+``(scenario, seed, overrides)`` specs out across CPU cores and aggregates
 the per-process results deterministically::
 
     from repro.sweep import build_grid, run_sweep, sweep_report
@@ -24,7 +24,6 @@ parallelism is a pure wall-clock optimization, never a behavior change.
 from .aggregate import (
     aggregate_summaries,
     confidence_interval,
-    merge_metrics,
     sweep_report,
 )
 from .runner import execute_spec, run_sweep
@@ -38,7 +37,6 @@ __all__ = [
     "build_grid",
     "confidence_interval",
     "execute_spec",
-    "merge_metrics",
     "run_sweep",
     "seed_for_rep",
     "sweep_report",

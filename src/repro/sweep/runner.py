@@ -54,7 +54,8 @@ def execute_spec(spec: RunSpec) -> RunResult:
             n_traces=len(platform.traces),
             trace_digest=platform.traces.digest(),
             summary=summarize_run(run),
-            metrics=platform.metrics.snapshot())
+            latency_s=platform.metrics.distribution(
+                "latency.completion").snapshot()["samples"])
     except Exception:
         return RunResult(
             index=spec.index, seed=spec.seed, label=spec.label, ok=False,

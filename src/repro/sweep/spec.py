@@ -4,8 +4,8 @@ A :class:`RunSpec` is everything a worker process needs to rebuild one
 simulation from scratch: scenario name, seed, workload shape, and
 parameter overrides.  A :class:`RunResult` is the compact, serializable
 product shipped back over the ``multiprocessing`` pipe: trace digest,
-headline stats, and a :class:`~repro.metrics.MetricsRegistry` snapshot —
-never the simulator or platform objects themselves.
+headline stats, and the run's completion-latency samples — never the
+simulator or platform objects themselves.
 """
 
 from __future__ import annotations
@@ -72,20 +72,18 @@ class RunResult:
     n_traces: int = 0
     trace_digest: str = ""
     summary: Dict[str, float] = field(default_factory=dict)
-    #: ``MetricsRegistry.snapshot()`` of the run's platform metrics.
-    metrics: Dict[str, Any] = field(default_factory=dict)
+    #: The run's ``latency.completion`` samples, pooled per label by
+    #: :func:`~repro.sweep.aggregate.sweep_report`.
+    latency_s: List[float] = field(default_factory=list)
 
-    def to_json(self, include_metrics: bool = False) -> Dict[str, Any]:
-        out = {
+    def to_json(self) -> Dict[str, Any]:
+        return {
             "index": self.index, "seed": self.seed, "label": self.label,
             "ok": self.ok, "wall_s": round(self.wall_s, 3),
             "error": self.error, "events_executed": self.events_executed,
             "n_traces": self.n_traces, "trace_digest": self.trace_digest,
             "summary": self.summary,
         }
-        if include_metrics:
-            out["metrics"] = self.metrics
-        return out
 
 
 def seed_for_rep(master_seed: int, rep: int) -> int:

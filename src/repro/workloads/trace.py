@@ -29,7 +29,7 @@ class CallTrace:
     region_submitted: str
     region_executed: str
     worker: str
-    outcome: str            # "ok", "error", "throttled", "expired"
+    outcome: str            # "ok", "error", "throttled", ...
     cpu_minstr: float
     memory_mb: float
     exec_time_s: float

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import CongestionController, CongestionParams
+from repro.core.congestion import MIN_RPS
 from repro.workloads import FunctionSpec
 
 
@@ -67,7 +68,7 @@ class TestAimd:
         for window in range(1, 60):
             ctl.on_backpressure("f", "svc", 500.0)
             ctl.adjust(window * 60.0)
-        assert ctl.rps_limit("f") == pytest.approx(ctl.params.min_rps)
+        assert ctl.rps_limit("f") == pytest.approx(MIN_RPS)
 
     def test_full_recovery_disengages(self):
         ctl = make_controller(additive_increase_rps=1e9)

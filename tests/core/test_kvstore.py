@@ -1,6 +1,9 @@
 """Tests for the distributed KV store (big-args spill, §4.2)."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +53,28 @@ class TestKVStore:
         assert store.reject_count == 1
         store.delete("a")
         assert store.put("c", 200.0)
+
+    def test_shard_choice_ignores_hash_seed(self):
+        # str hashes are salted per process: the accept/reject pattern of
+        # a fixed put sequence must not depend on PYTHONHASHSEED.
+        script = (
+            "from repro import Simulator\n"
+            "from repro.core import DistributedKVStore, KVStoreParams\n"
+            "store = DistributedKVStore(Simulator(), KVStoreParams(\n"
+            "    shards=8, shard_capacity_mb=1.0))\n"
+            "print(''.join('1' if store.put(f'args/{i}', 300.0) else '0'\n"
+            "              for i in range(40)))\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        patterns = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.abspath(src))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=60,
+                                 check=True)
+            patterns.append(out.stdout.strip())
+        assert len(patterns[0]) == 40 and "0" in patterns[0]
+        assert patterns[0] == patterns[1]
 
     def test_occupancy_accounting(self):
         store = DistributedKVStore(Simulator())

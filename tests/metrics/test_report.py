@@ -44,6 +44,8 @@ class TestMetricsRegistry:
     def test_counter_identity(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
+        assert reg.gauge("g") is reg.gauge("g")
+        assert reg.distribution("d") is reg.distribution("d")
 
     def test_prefix_matching(self):
         reg = MetricsRegistry()

@@ -6,13 +6,12 @@ bit-identical per-run trace digests and identical merged statistics
 whether the sweep runs serially in-process or across spawn workers.
 """
 
-import multiprocessing
+import math
 import os
 import time
 
 import pytest
 
-from repro.metrics import MetricsRegistry
 from repro.scenarios import SCENARIOS
 from repro.sim import derive_seed
 from repro.sweep import (
@@ -23,11 +22,11 @@ from repro.sweep import (
     build_grid,
     confidence_interval,
     execute_spec,
-    merge_metrics,
     run_sweep,
     seed_for_rep,
     sweep_report,
 )
+from repro.sweep.aggregate import t_critical
 
 # Small enough to keep the multiprocess test quick, big enough to
 # exercise the full platform (spike may or may not attach at this size).
@@ -80,8 +79,9 @@ class TestExecution:
         assert res.ok, res.error
         assert res.trace_digest and res.n_traces > 0
         assert res.summary["completed"] > 0
+        assert res.latency_s
         pickle.dumps(res)
-        json.dumps(res.to_json(include_metrics=True))
+        json.dumps(res.to_json())
 
     def test_failed_spec_reported_sweep_continues(self):
         import dataclasses
@@ -105,14 +105,21 @@ class TestExecution:
         assert [r.trace_digest for r in parallel] == \
                [r.trace_digest for r in serial]
         assert [r.summary for r in parallel] == [r.summary for r in serial]
-        merged_s = merge_metrics(serial).snapshot()
-        merged_p = merge_metrics(parallel).snapshot()
-        assert merged_s == merged_p
+        assert [r.latency_s for r in parallel] == \
+               [r.latency_s for r in serial]
+        merged = sweep_report(serial)["merged_latency"]
+        assert sweep_report(parallel)["merged_latency"] == merged
         assert aggregate_summaries(serial) == aggregate_summaries(parallel)
+        # The pooled quantiles are nearest-rank over the concatenated
+        # per-run completion latencies.
+        pooled = sorted(v for r in serial for v in r.latency_s)
+        assert merged["baseline"]["count"] == len(pooled)
+        for p in (50, 95, 99):
+            rank = math.ceil(p / 100.0 * len(pooled))
+            assert merged["baseline"][f"p{p}_s"] == pooled[rank - 1]
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="needs the fork start method")
+    @pytest.mark.skipif(not hasattr(os, "fork"),
+                        reason="needs the fork start method")
     def test_dead_pool_process_fails_its_specs_and_returns(self, monkeypatch):
         # A scenario that kills its process outright: fork-started pool
         # processes inherit the patched table.  The sweep must return a
@@ -163,22 +170,26 @@ class TestAggregation:
         assert report["n_failed"] == 1
         assert report["runs"][3]["error"] == "boom"
 
-    def test_merge_metrics_folds_each_successful_run_once(self):
-        def run(index, label, calls, ok=True):
-            reg = MetricsRegistry()
-            reg.counter("calls.completed").add(float(index), calls)
-            reg.distribution("latency").add(float(calls))
-            return RunResult(index=index, seed=index, label=label, ok=ok,
-                             wall_s=1.0, metrics=reg.snapshot())
+    def test_t_critical_is_conservative_between_table_rows(self):
+        # True two-sided 95% values: df 11 → 2.201, df 31 → 2.040.
+        assert t_critical(11) >= 2.201
+        assert t_critical(31) >= 2.040
+        assert t_critical(7) == 2.365  # tabulated rows are exact
 
-        results = [run(0, "a", 3.0), run(1, "a", 5.0), run(2, "b", 7.0),
-                   run(3, "a", 11.0, ok=False)]
-        merged = merge_metrics(results)
-        assert merged.counter("calls.completed").total == 3.0 + 5.0 + 7.0
-        assert len(merged.distribution("latency")) == 3
-        only_a = merge_metrics(results, label="a")
-        assert only_a.counter("calls.completed").total == 3.0 + 5.0
-        assert len(only_a.distribution("latency")) == 2
-        # The inputs are snapshots; folding them leaves them untouched.
-        assert results[0].metrics["counters"] == \
-            run(0, "a", 3.0).metrics["counters"]
+    def test_sweep_report_pools_each_successful_run_once(self):
+        def run(index, label, latencies, ok=True):
+            return RunResult(index=index, seed=index, label=label, ok=ok,
+                             wall_s=1.0, latency_s=latencies)
+
+        results = [run(0, "a", [3.0, 4.0]), run(1, "a", [5.0]),
+                   run(2, "b", [7.0]), run(3, "a", [11.0], ok=False)]
+        merged = sweep_report(results)["merged_latency"]
+        # The failed run's sample is not pooled.
+        assert merged["a"] == {"count": 3, "p50_s": 4.0, "p95_s": 5.0,
+                               "p99_s": 5.0}
+        assert merged["b"] == {"count": 1, "p50_s": 7.0, "p95_s": 7.0,
+                               "p99_s": 7.0}
+        # Pooling copies: the inputs are untouched, so a second report
+        # pools the same samples again, not twice as many.
+        assert results[0].latency_s == [3.0, 4.0]
+        assert sweep_report(results)["merged_latency"] == merged

@@ -29,7 +29,6 @@ class TestParser:
         assert args.runs == 4
         assert args.master_seed == 7
         assert args.workers == 1
-        assert args.start_method == "spawn"
         assert args.ablate is None
         assert not args.json
 

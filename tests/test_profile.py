@@ -80,21 +80,6 @@ class TestProfiledDigestParity:
         assert Scheduler.tick is original
 
 
-class TestBoundHandles:
-    def test_bound_handles_are_lookup_objects(self):
-        reg = MetricsRegistry()
-        assert reg.bind_counter("c") is reg.counter("c")
-        assert reg.bind_gauge("g") is reg.gauge("g")
-        assert reg.bind_distribution("d") is reg.distribution("d")
-
-    def test_bound_counter_observes_same_values(self):
-        reg = MetricsRegistry()
-        bound = reg.bind_counter("calls.executed")
-        bound.add(1.0, 3)
-        reg.counter("calls.executed").add(2.0, 4)
-        assert reg.counter("calls.executed").total == 7
-
-
 def _module_level_poll():
     pass
 
