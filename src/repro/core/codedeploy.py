@@ -18,10 +18,9 @@ Workers adopt a new bundle in three phases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..sim.kernel import Simulator
-from ..sim.sampler import SamplerHub
 
 #: How long a phase-2 seeder worker profiles before its data is
 #: distributed to its locality group.
@@ -68,10 +67,8 @@ class CodeDeployer:
     """
 
     def __init__(self, sim: Simulator, params: RolloutParams = RolloutParams(),
-                 cooperative_jit: bool = True,
-                 timers: Optional[SamplerHub] = None) -> None:
+                 cooperative_jit: bool = True) -> None:
         self.sim = sim
-        self._timers = timers
         self.params = params
         self.cooperative_jit = cooperative_jit
         #: Registered worker blocks, in registration order.
@@ -88,8 +85,7 @@ class CodeDeployer:
         """Begin periodic pushes (first push after one interval)."""
         if self._task is not None:
             raise RuntimeError("deployer already started")
-        timers = self._timers if self._timers is not None else self.sim
-        self._task = timers.every(
+        self._task = self.sim.every(
             self.params.push_interval_s, self.push_new_version,
             start=self.sim.now + self.params.push_interval_s)
 

@@ -15,7 +15,8 @@ Three cooperating mechanisms, per function:
   window, giving downstream caches/autoscalers time to warm up.
   Production values: W = 1 min, T = 100 calls, α = 20%.  W is the
   AIMD adjust window, ``adjust_window_s``: every call of
-  :meth:`CongestionController.adjust` rolls the slow-start windows.
+  :meth:`CongestionController.adjust` rolls the slow-start windows, and
+  :meth:`CongestionController.start` calls it once per window.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..sim.kernel import PeriodicTask, Simulator
 from ..util import add_slots
 from ..workloads.spec import FunctionSpec
 from .ratelimiter import TokenBucket
@@ -88,6 +90,7 @@ class CongestionController:
         self.slow_start_denials = 0
         self.concurrency_denials = 0
         self.rate_denials = 0
+        self._task: Optional[PeriodicTask] = None
 
     # ------------------------------------------------------------------
     def register(self, spec: FunctionSpec) -> None:
@@ -169,8 +172,15 @@ class CongestionController:
         return self._require(name).rps_limit
 
     # ------------------------------------------------------------------
-    # Periodic adjustment (call every adjust_window_s)
+    # Periodic adjustment (every adjust_window_s)
     # ------------------------------------------------------------------
+    def start(self, sim: Simulator) -> None:
+        """Roll the AIMD and slow-start windows every ``adjust_window_s``."""
+        if self._task is not None:
+            raise RuntimeError("congestion controller already started")
+        self._task = sim.every(self.params.adjust_window_s,
+                               lambda: self.adjust(sim.now))
+
     def adjust(self, now: float) -> None:
         """Run one AIMD window for every function and roll slow-start windows."""
         p = self.params

@@ -20,7 +20,6 @@ from typing import Callable, List, Optional, Tuple
 
 from ..cluster.machine import MachineSpec
 from ..sim.kernel import Simulator
-from ..sim.sampler import SamplerHub
 from .call import FunctionCall
 from .worker import Worker, WorkerParams
 from .workerarrays import WorkerArrays
@@ -85,7 +84,6 @@ class ElasticPool:
                  schedule: ElasticSchedule = ElasticSchedule(),
                  check_interval_s: float = 60.0,
                  on_finish: Optional[Callable] = None,
-                 timers: Optional[SamplerHub] = None,
                  arrays: Optional[WorkerArrays] = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -100,8 +98,7 @@ class ElasticPool:
             for w in range(n_workers)]
         self.grants = 0
         self.reclaims = 0
-        self._task = (timers if timers is not None else sim).every(
-            check_interval_s, self._check)
+        self._task = sim.every(check_interval_s, self._check)
         self._check()
 
     def _check(self) -> None:

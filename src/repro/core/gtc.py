@@ -19,7 +19,6 @@ from typing import Dict, Optional
 
 from ..cluster.network import NetworkModel
 from ..sim.kernel import Simulator
-from ..sim.sampler import SamplerHub
 from .config import ConfigStore
 from .rim import Rim
 from .scheduler import TRAFFIC_MATRIX_KEY
@@ -105,10 +104,8 @@ class GlobalTrafficConductor:
     def __init__(self, sim: Simulator, rim: Rim, config: ConfigStore,
                  network: NetworkModel,
                  params: GtcParams = GtcParams(),
-                 enabled: bool = True,
-                 timers: Optional[SamplerHub] = None) -> None:
+                 enabled: bool = True) -> None:
         self.sim = sim
-        self._timers = timers
         self.rim = rim
         self.config = config
         self.network = network
@@ -121,8 +118,7 @@ class GlobalTrafficConductor:
     def start(self) -> None:
         if self._task is not None:
             raise RuntimeError("GTC already started")
-        timers = self._timers if self._timers is not None else self.sim
-        self._task = timers.every(
+        self._task = self.sim.every(
             self.params.update_interval_s, self.update,
             start=self.sim.now + self.params.update_interval_s)
 

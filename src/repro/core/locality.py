@@ -23,8 +23,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.kernel import Simulator
-from ..sim.sampler import SamplerHub
+from ..sim.kernel import PeriodicTask, Simulator
 from ..workloads.spec import FunctionSpec
 from .config import ConfigStore
 from .workerarrays import WorkerArrays
@@ -60,10 +59,8 @@ class LocalityOptimizer:
     def __init__(self, sim: Simulator, config: ConfigStore,
                  params: LocalityParams = LocalityParams(),
                  enabled: bool = True,
-                 namespace: str = "default",
-                 timers: Optional[SamplerHub] = None) -> None:
+                 namespace: str = "default") -> None:
         self.sim = sim
-        self._timers = timers
         self.config = config
         self.params = params
         self.enabled = enabled
@@ -77,7 +74,8 @@ class LocalityOptimizer:
         self._rr_counter = 0
         self.reassign_count = 0
         self.worker_moves = 0
-        self._tasks = []
+        #: Armed loops, or None when not started.
+        self._tasks: Optional[List[PeriodicTask]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -111,21 +109,23 @@ class LocalityOptimizer:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
+        if self._tasks is not None:
+            raise RuntimeError("locality optimizer already started")
+        self._tasks = []
         if not self.enabled:
             return
         p = self.params
-        timers = self._timers if self._timers is not None else self.sim
-        self._tasks.append(timers.every(
+        self._tasks.append(self.sim.every(
             REASSIGN_INTERVAL_S, self.reassign,
             start=self.sim.now + REASSIGN_INTERVAL_S))
-        self._tasks.append(timers.every(
+        self._tasks.append(self.sim.every(
             p.rebalance_interval_s, self.rebalance_workers,
             start=self.sim.now + p.rebalance_interval_s))
 
     def stop(self) -> None:
-        for t in self._tasks:
+        for t in self._tasks or ():
             t.cancel()
-        self._tasks = []
+        self._tasks = None
 
     # ------------------------------------------------------------------
     # Function → group assignment

@@ -28,7 +28,6 @@ from ..downstream.service import ServiceRegistry
 from ..metrics.recorder import MetricsRegistry
 from ..metrics.timeseries import Counter
 from ..sim.kernel import Simulator
-from ..sim.sampler import SamplerHub
 from ..sim.simsan import region_map
 from ..workloads.spec import FunctionSpec, QuotaType
 from ..workloads.trace import TraceLog
@@ -166,26 +165,17 @@ class XFaaS:
             self.durableqs_by_region[r] = shards
 
         # --- Controllers (off the critical path) ----------------------
-        # All unjittered control loops share one SamplerHub so each
-        # shared firing instant costs one kernel event, not one per
-        # loop.  Jittered tasks (scheduler ticks, DurableQ sweeps,
-        # config refresh) never share instants and stay on sim.every.
-        self.sampler_hub = SamplerHub(sim)
-        self.rim = Rim(sim, self.metrics, params.rim_sample_interval_s,
-                       timers=self.sampler_hub)
+        self.rim = Rim(sim, self.metrics, params.rim_sample_interval_s)
         self.locality_optimizer = LocalityOptimizer(
             sim, self.config, params.locality,
-            enabled=params.locality_groups, namespace=ns,
-            timers=self.sampler_hub)
+            enabled=params.locality_groups, namespace=ns)
         self.gtc = GlobalTrafficConductor(
             sim, self.rim, self.config, topology.network, params.gtc,
-            enabled=params.global_dispatch, timers=self.sampler_hub)
+            enabled=params.global_dispatch)
         self.utilization_controller = UtilizationController(
-            sim, self.rim, self.config, params.utilization,
-            timers=self.sampler_hub)
+            sim, self.rim, self.config, params.utilization)
         self.deployer = CodeDeployer(sim, params.rollout,
-                                     cooperative_jit=params.cooperative_jit,
-                                     timers=self.sampler_hub)
+                                     cooperative_jit=params.cooperative_jit)
         if not params.time_shifting:
             # Ablation: opportunistic functions are not deferred — their
             # elastic limit is pinned wide open.
@@ -237,8 +227,7 @@ class XFaaS:
             scheduler = Scheduler(
                 sim, r, self.durableqs_by_region, workerlb,
                 self.rate_limiter, self.congestion, self.config,
-                params.scheduler, on_done=self._on_done,
-                timers=self.sampler_hub)
+                params.scheduler, on_done=self._on_done)
             self.schedulers[r] = scheduler
             self.rim.register_scheduler(r, scheduler)
 
@@ -255,6 +244,8 @@ class XFaaS:
             self.frontends[r] = SubmitterFrontend(normal, spiky)
 
         # --- Start controllers & samplers -----------------------------
+        # Unjittered loops that share an instant fire in arming order:
+        # keep this order (after the scheduler lease loops armed above).
         self.rim.start()
         self.gtc.start()
         if params.time_shifting:
@@ -262,14 +253,11 @@ class XFaaS:
         self.locality_optimizer.start()
         if params.start_code_deployer:
             self.deployer.start()
-        self.sampler_hub.every(params.congestion.adjust_window_s,
-                               lambda: self.congestion.adjust(sim.now))
-        self.sampler_hub.every(params.distinct_window_s,
-                               self._sample_distinct_functions,
-                               start=params.distinct_window_s)
+        self.congestion.start(sim)
+        sim.every(params.distinct_window_s, self.rim.sample_distinct_functions,
+                  start=params.distinct_window_s)
         if params.memory_sample_interval_s > 0:
-            self.sampler_hub.every(params.memory_sample_interval_s,
-                                   self._sample_memory)
+            sim.every(params.memory_sample_interval_s, self.rim.sample_memory)
 
         self.submitted_count = 0
         self.throttled_count = 0
@@ -328,7 +316,7 @@ class XFaaS:
         pool = ElasticPool(self.sim, region, n_workers, machine=machine,
                            params=self.params.worker,
                            on_finish=scheduler.on_call_finished,
-                           timers=self.sampler_hub, arrays=store, **kwargs)
+                           arrays=store, **kwargs)
         rows = range(start, len(store))
         self.locality_optimizer.register_rows(store, rows)
         self.deployer.register_workers(WorkerViews(store, rows))
@@ -483,32 +471,3 @@ class XFaaS:
         self._calls_throttled.add(self.sim.now)
         self.traces.add_call(call, "throttled")
         self.arena.live -= 1
-
-    # ------------------------------------------------------------------
-    # Periodic samplers
-    # ------------------------------------------------------------------
-    def _sample_distinct_functions(self) -> None:
-        dist = self.metrics.distribution("worker.distinct_functions_per_window")
-        # Draining a distinct-function window mutates the view, so visit
-        # views, in all_workers order.  A row whose view was never built
-        # has calls_started == 0 and an empty window: it adds no sample.
-        for workerlb in self.workerlbs.values():
-            for worker in workerlb.arrays.built_views():
-                count = worker.take_distinct_functions_window()
-                if worker.calls_started > 0:
-                    dist.add(count)
-
-    def _sample_memory(self) -> None:
-        now = self.sim.now
-        dist = self.metrics.distribution("worker.memory_mb")
-        # The Fig 10 distribution needs every worker's value: copy each
-        # region's memory column, which is row-aligned with
-        # workers_by_region[r] (elastic workers included), so samples
-        # land in all_workers order.
-        for workerlb in self.workerlbs.values():
-            dist.extend(workerlb.arrays.mem_mb)
-        # One representative per-worker gauge (Fig 10-style series): the
-        # first region's first worker, read from its column.
-        first_region = self.topology.region_names[0]
-        mem = self.workerlbs[first_region].arrays.mem_mb[0]
-        self.metrics.gauge("worker.sample.memory_mb").set(now, mem)

@@ -21,16 +21,19 @@ store, registered once: the worker count is ``len(store)``, capacity
 and free threads are the store's aggregates, and rows the store gains
 later (elastic workers) count from the moment they are born.  RIM never
 builds a cold row's view.
+
+RIM also takes the per-worker samples behind Figures 9 and 10
+(:meth:`Rim.sample_distinct_functions`, :meth:`Rim.sample_memory`),
+which read the same stores; the platform arms those loops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..metrics.recorder import MetricsRegistry
 from ..metrics.timeseries import Gauge
 from ..sim.kernel import Simulator
-from ..sim.sampler import SamplerHub
 from .durableq import DurableQ
 from .scheduler import Scheduler
 from .workerarrays import WorkerArrays
@@ -40,13 +43,11 @@ class Rim:
     """Fleet-wide metric collection."""
 
     def __init__(self, sim: Simulator, metrics: MetricsRegistry,
-                 sample_interval_s: float = 60.0,
-                 timers: Optional[SamplerHub] = None) -> None:
+                 sample_interval_s: float = 60.0) -> None:
         self.sim = sim
         self.metrics = metrics
         self.sample_interval_s = sample_interval_s
-        self._timers = timers
-        #: region -> its worker store.
+        #: region -> its worker store, in registration order.
         self._stores: Dict[str, WorkerArrays] = {}
         self._durableqs_by_region: Dict[str, List[DurableQ]] = {}
         self._schedulers_by_region: Dict[str, Scheduler] = {}
@@ -80,9 +81,9 @@ class Rim:
     def start(self) -> None:
         if self._task is not None:
             raise RuntimeError("RIM already started")
-        timers = self._timers if self._timers is not None else self.sim
-        self._task = timers.every(self.sample_interval_s, self.sample,
-                                  start=self.sim.now + self.sample_interval_s)
+        self._task = self.sim.every(
+            self.sample_interval_s, self.sample,
+            start=self.sim.now + self.sample_interval_s)
 
     def stop(self) -> None:
         if self._task is not None:
@@ -119,6 +120,31 @@ class Rim:
         if total_workers:
             self._fleet_util = total_busy_fraction / total_workers
             self._fleet_gauge.set(now, self._fleet_util)
+
+    def sample_distinct_functions(self) -> None:
+        """Add one Fig 9 window: distinct functions per worker that ran."""
+        dist = self.metrics.distribution("worker.distinct_functions_per_window")
+        # Draining a distinct-function window mutates the view, so visit
+        # views, in registration order.  A row whose view was never built
+        # has calls_started == 0 and an empty window: it adds no sample.
+        for store in self._stores.values():
+            for worker in store.built_views():
+                count = worker.take_distinct_functions_window()
+                if worker.calls_started > 0:
+                    dist.add(count)
+
+    def sample_memory(self) -> None:
+        """Add one Fig 10 sample: every worker's memory in use."""
+        now = self.sim.now
+        dist = self.metrics.distribution("worker.memory_mb")
+        # The distribution needs every worker's value: copy each store's
+        # memory column (elastic rows included), in registration order.
+        for store in self._stores.values():
+            dist.extend(store.mem_mb)
+        # One representative per-worker gauge (Fig 10-style series): the
+        # first registered region's first worker, read from its column.
+        mem = next(iter(self._stores.values())).mem_mb[0]
+        self.metrics.gauge("worker.sample.memory_mb").set(now, mem)
 
     # ------------------------------------------------------------------
     # Views consumed by controllers

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
-from ..sim.sampler import SamplerHub
 from .call import CallOutcome, CallState, FunctionCall
 from .config import CachedConfig, ConfigStore
 from .congestion import CongestionController, _FunctionState
@@ -93,8 +92,7 @@ class Scheduler:
                  congestion: CongestionController,
                  config: ConfigStore,
                  params: SchedulerParams = SchedulerParams(),
-                 on_done: Optional[DoneCallback] = None,
-                 timers: Optional[SamplerHub] = None) -> None:
+                 on_done: Optional[DoneCallback] = None) -> None:
         self.sim = sim
         self.region = region
         self.scheduler_id = f"scheduler/{region}"
@@ -132,9 +130,8 @@ class Scheduler:
         self._tick_task = sim.every(params.poll_interval_s, self.tick,
                                     jitter=params.poll_interval_s * 0.05,
                                     rng_stream=f"sched-jitter/{region}")
-        lease_timers = timers if timers is not None else sim
-        self._lease_task = lease_timers.every(
-            params.lease_extension_interval_s, self._extend_leases)
+        self._lease_task = sim.every(params.lease_extension_interval_s,
+                                     self._extend_leases)
 
     # ------------------------------------------------------------------
     # Main loop

@@ -13,10 +13,8 @@ troughs that reserved (diurnal) CPU leaves behind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..sim.kernel import Simulator
-from ..sim.sampler import SamplerHub
 from .config import ConfigStore
 from .rim import Rim
 from .scheduler import S_MULTIPLIER_KEY
@@ -55,10 +53,8 @@ class UtilizationController:
     """Feedback controller publishing S through the config system."""
 
     def __init__(self, sim: Simulator, rim: Rim, config: ConfigStore,
-                 params: UtilizationParams = UtilizationParams(),
-                 timers: Optional[SamplerHub] = None) -> None:
+                 params: UtilizationParams = UtilizationParams()) -> None:
         self.sim = sim
-        self._timers = timers
         self.rim = rim
         self.config = config
         self.params = params
@@ -70,8 +66,7 @@ class UtilizationController:
     def start(self) -> None:
         if self._task is not None:
             raise RuntimeError("controller already started")
-        timers = self._timers if self._timers is not None else self.sim
-        self._task = timers.every(
+        self._task = self.sim.every(
             self.params.update_interval_s, self.update,
             start=self.sim.now + self.params.update_interval_s)
 

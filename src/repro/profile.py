@@ -148,8 +148,8 @@ class ProfileRecorder:
                 self.total_s += dt
 
     # ------------------------------------------------------------------
-    # Kernel dispatch loops (instrumented twins of Simulator.run_until /
-    # Simulator.run; the kernel delegates here when a profiler is set).
+    # Kernel dispatch loop (instrumented twin of Simulator.run_until; the
+    # kernel delegates here when a profiler is set).
     # ------------------------------------------------------------------
     def run_until(self, sim: Any, until: float) -> None:
         sim._stopped = False
@@ -170,29 +170,6 @@ class ProfileRecorder:
                 call(event_key(cb), cb)
             if sim._now < until:
                 sim._now = until
-        finally:
-            sim.events_executed += executed
-            self.events_profiled += executed
-
-    def run(self, sim: Any, max_events: Optional[int] = None) -> None:
-        sim._stopped = False
-        queue = sim._queue
-        purge_head = queue._purge_head
-        pop_head = queue._pop_head
-        call = self._call
-        limit = max_events if max_events is not None else -1
-        executed = 0
-        try:
-            while not sim._stopped:
-                if executed == limit:
-                    break
-                if purge_head() is None:
-                    break
-                entry = pop_head()
-                sim._now = entry[0]
-                executed += 1
-                cb = entry[3].callback
-                call(event_key(cb), cb)
         finally:
             sim.events_executed += executed
             self.events_profiled += executed

@@ -54,10 +54,10 @@ class Simulator:
         self._stopped = False
         self.events_executed = 0
         #: Optional time-attribution recorder (see :mod:`repro.profile`).
-        #: When set, :meth:`run`/:meth:`run_until` delegate the dispatch
-        #: loop to it so per-event timing never burdens the fast loops
-        #: below.  The profiled loop replays identical queue semantics,
-        #: so trace digests are bit-identical either way.
+        #: When set, :meth:`run_until` delegates the dispatch loop to it
+        #: so per-event timing never burdens the fast loop below.  The
+        #: profiled loop replays identical queue semantics, so trace
+        #: digests are bit-identical either way.
         self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -137,32 +137,8 @@ class Simulator:
         finally:
             self.events_executed += executed
 
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the event queue drains (or ``max_events`` executed)."""
-        if self.profiler is not None:
-            self.profiler.run(self, max_events)
-            return
-        self._stopped = False
-        queue = self._queue
-        purge_head = queue._purge_head
-        pop_head = queue._pop_head
-        limit = max_events if max_events is not None else -1
-        executed = 0
-        try:
-            while not self._stopped:
-                if executed == limit:
-                    break
-                if purge_head() is None:
-                    break
-                entry = pop_head()
-                self._now = entry[0]
-                executed += 1
-                entry[3].callback()
-        finally:
-            self.events_executed += executed
-
     def stop(self) -> None:
-        """Stop the currently running :meth:`run`/:meth:`run_until` loop."""
+        """Stop the currently running :meth:`run_until` loop."""
         self._stopped = True
 
     def pending_events(self) -> int:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import CongestionController, CongestionParams
 from repro.core.congestion import MIN_RPS
+from repro.sim import Simulator
 from repro.workloads import FunctionSpec
 
 
@@ -116,6 +117,26 @@ class TestConcurrencyLimit:
         ctl.register(FunctionSpec(name="f"))
         with pytest.raises(RuntimeError):
             ctl.on_finish("f")
+
+
+class TestWindowRoll:
+    def test_start_rolls_every_adjust_window(self):
+        sim = Simulator()
+        ctl = make_controller(adjust_window_s=30.0)
+        ctl.register(FunctionSpec(name="f"))
+        ctl.start(sim)
+        sim.run_until(1.0)  # the t=0 roll
+        ctl.on_dispatch(ctl.state_for("f"))
+        sim.run_until(30.0)
+        st = ctl.state_for("f")
+        assert (st.prev_window_dispatches, st.window_dispatches) == (1.0, 0.0)
+
+    def test_double_start_rejected(self):
+        sim = Simulator()
+        ctl = make_controller()
+        ctl.start(sim)
+        with pytest.raises(RuntimeError):
+            ctl.start(sim)
 
 
 class TestSlowStart:

@@ -1,6 +1,6 @@
 """The Fig 10 memory sampler reads the ``mem_mb`` column.
 
-``XFaaS._sample_memory`` copies each region's memory column instead of
+``Rim.sample_memory`` copies each region's memory column instead of
 reading ``memory_in_use_mb`` worker by worker.  After a quick dayrun, a
 1k-worker fleetrun and a run with an elastic pool added mid-run, every
 worker's view must equal its column entry and the memory recomputed
@@ -14,6 +14,7 @@ from array import array
 import pytest
 
 from repro import PlatformParams, Simulator, XFaaS, build_topology
+from repro.core.rim import Rim
 from repro.scenarios import build_dayrun, build_fleetrun
 from repro.workloads import (
     FunctionSpec,
@@ -31,14 +32,15 @@ def _cold_memory(w):
 @pytest.fixture
 def per_worker_samples(monkeypatch):
     """Record, at every memory sampler firing, what the per-worker loop
-    over ``all_workers`` would have added."""
+    over every region's workers would have added."""
     samples = array("d")
-    sample_memory = XFaaS._sample_memory
+    sample_memory = Rim.sample_memory
 
     def recording(self):
-        samples.extend(_cold_memory(w) for w in self.all_workers)
+        samples.extend(_cold_memory(w) for store in self._stores.values()
+                       for w in store.workers)
         sample_memory(self)
-    monkeypatch.setattr(XFaaS, "_sample_memory", recording)
+    monkeypatch.setattr(Rim, "sample_memory", recording)
     return samples
 
 

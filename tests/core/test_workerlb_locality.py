@@ -515,6 +515,18 @@ class TestLocalityOptimizer:
                                  LocalityParams(n_groups=n_groups),
                                  enabled=enabled)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_double_start_rejected(self, enabled):
+        sim = Simulator()
+        opt = self._optimizer(sim, enabled=enabled)
+        opt.start()
+        with pytest.raises(RuntimeError):
+            opt.start()
+        # Stopped, it may start again, with one task per loop.
+        opt.stop()
+        opt.start()
+        assert len(opt._tasks) == (2 if enabled else 0)
+
     def test_disabled_single_group(self):
         sim = Simulator()
         opt = self._optimizer(sim, enabled=False)

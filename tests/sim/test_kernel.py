@@ -13,20 +13,20 @@ class TestClockAndScheduling:
         sim = Simulator()
         seen = []
         sim.call_after(5.0, lambda: seen.append(sim.now))
-        sim.run()
+        sim.run_until(100.0)
         assert seen == [5.0]
 
     def test_call_at_absolute_time(self):
         sim = Simulator()
         seen = []
         sim.call_at(3.5, lambda: seen.append(sim.now))
-        sim.run()
+        sim.run_until(100.0)
         assert seen == [3.5]
 
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
         sim.call_after(10.0, lambda: None)
-        sim.run()
+        sim.run_until(100.0)
         with pytest.raises(SimulationError):
             sim.call_at(5.0, lambda: None)
 
@@ -39,7 +39,7 @@ class TestClockAndScheduling:
         seen = []
         for i in range(10):
             sim.call_at(1.0, lambda i=i: seen.append(i))
-        sim.run()
+        sim.run_until(100.0)
         assert seen == list(range(10))
 
     def test_priority_breaks_time_ties(self):
@@ -47,7 +47,7 @@ class TestClockAndScheduling:
         seen = []
         sim.call_at(1.0, lambda: seen.append("low"), priority=5)
         sim.call_at(1.0, lambda: seen.append("high"), priority=-5)
-        sim.run()
+        sim.run_until(100.0)
         assert seen == ["high", "low"]
 
     def test_cancelled_event_does_not_fire(self):
@@ -55,7 +55,7 @@ class TestClockAndScheduling:
         seen = []
         handle = sim.call_after(1.0, lambda: seen.append("x"))
         handle.cancel()
-        sim.run()
+        sim.run_until(100.0)
         assert seen == []
 
     def test_events_scheduled_during_run_execute(self):
@@ -65,7 +65,7 @@ class TestClockAndScheduling:
         def first():
             sim.call_after(2.0, lambda: seen.append(sim.now))
         sim.call_after(1.0, first)
-        sim.run()
+        sim.run_until(100.0)
         assert seen == [3.0]
 
 
@@ -100,16 +100,8 @@ class TestRunUntil:
             sim.stop()
         sim.call_after(1.0, first)
         sim.call_after(2.0, lambda: seen.append(2))
-        sim.run()
+        sim.run_until(100.0)
         assert seen == [1]
-
-    def test_max_events_limit(self):
-        sim = Simulator()
-        seen = []
-        for i in range(10):
-            sim.call_after(float(i), lambda i=i: seen.append(i))
-        sim.run(max_events=3)
-        assert seen == [0, 1, 2]
 
 
 class TestPeriodicTask:
@@ -159,6 +151,61 @@ class TestPeriodicTask:
     def test_zero_interval_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().every(0.0, lambda: None)
+
+    def test_shared_instants_fire_in_arming_order(self):
+        # Unjittered tasks tie-break by when each was last armed: a task
+        # re-arms after its callback, so at t=10 "d" (re-armed at t=3)
+        # fires before "c" (re-armed at t=5).  The platform's control
+        # loops share instants, and its digests rest on this order.
+        sim = Simulator()
+        log = []
+        for interval, start, tag in [(10.0, None, "a"), (10.0, None, "b"),
+                                     (5.0, None, "c"), (7.0, 3.0, "d")]:
+            sim.every(interval, lambda tag=tag: log.append((sim.now, tag)),
+                      start=start)
+        sim.run_until(40.0)
+        assert log == [
+            (0.0, "a"), (0.0, "b"), (0.0, "c"), (3.0, "d"), (5.0, "c"),
+            (10.0, "a"), (10.0, "b"), (10.0, "d"), (10.0, "c"),
+            (15.0, "c"), (17.0, "d"),
+            (20.0, "a"), (20.0, "b"), (20.0, "c"), (24.0, "d"),
+            (25.0, "c"),
+            (30.0, "a"), (30.0, "b"), (30.0, "c"), (31.0, "d"),
+            (35.0, "c"), (38.0, "d"),
+            (40.0, "a"), (40.0, "b"), (40.0, "c"),
+        ]
+
+    def test_start_in_past_clamps_to_now(self):
+        sim = Simulator()
+        fired = []
+        sim.call_after(10.0, lambda: sim.every(
+            5.0, lambda: fired.append(sim.now), start=0.0))
+        sim.run_until(21.0)
+        assert fired == [10.0, 15.0, 20.0]
+
+    def test_cancelled_at_shared_instant_by_earlier_task(self):
+        # At t=20 "killer" (re-armed at t=10) fires before "victim"
+        # (re-armed at t=15) and cancels it: "victim" fires neither then
+        # nor later.
+        sim = Simulator()
+        log = []
+        tasks = {}
+
+        def victim():
+            log.append((sim.now, "victim"))
+
+        def killer():
+            log.append((sim.now, "killer"))
+            if sim.now >= 20.0:
+                tasks["victim"].cancel()
+        tasks["victim"] = sim.every(5.0, victim)
+        sim.every(10.0, killer)
+        sim.run_until(40.0)
+        assert log == [
+            (0.0, "victim"), (0.0, "killer"), (5.0, "victim"),
+            (10.0, "killer"), (10.0, "victim"), (15.0, "victim"),
+            (20.0, "killer"), (30.0, "killer"), (40.0, "killer"),
+        ]
 
 
 class TestDeterminism:
