@@ -15,9 +15,7 @@ functions to opportunistic quota increases deferral capacity.
 
 from conftest import build_dayrun, write_result
 
-from repro import PlatformParams
 from repro.analysis import peak_to_trough, received_vs_executed
-from repro.core import LocalityParams, SchedulerParams, UtilizationParams
 
 HORIZON_S = 6 * 3600.0  # 6-hour window covering the midnight spike
 
@@ -28,15 +26,9 @@ def _median(values):
 
 
 def run_config(label: str, **flag_overrides):
-    params = PlatformParams(
-        scheduler=SchedulerParams(poll_interval_s=2.0, buffer_capacity=1000,
-                                  runq_capacity=300),
-        utilization=UtilizationParams(target_utilization=0.72),
-        locality=LocalityParams(n_groups=3),
-        distinct_window_s=1800.0,
-        memory_sample_interval_s=300.0,
-        **flag_overrides)
-    run = build_dayrun(seed=17, horizon_s=HORIZON_S, params_override=params)
+    run = build_dayrun(seed=17, horizon_s=HORIZON_S, overrides={
+        "distinct_window_s": 1800.0, "memory_sample_interval_s": 300.0,
+        **flag_overrides})
     platform = run.platform
     received, executed = received_vs_executed(platform, 0, HORIZON_S)
     distinct = platform.metrics.distribution(

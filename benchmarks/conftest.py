@@ -1,12 +1,11 @@
 """Shared fixtures for the benchmark suite.
 
 The expensive artifact is ``dayrun`` — one full simulated day on a
-12-region platform under the paper-shaped workload (diurnal 4.3×
+6-region platform under the paper-shaped workload (diurnal 4.3×
 peak-to-trough with the midnight spike, Table 1 category mix, Table 3
 resource shapes, a Figure 4 spiky function, reserved + opportunistic
-quota mix, TAO downstream stack).  Figures 2, 4, 7, 8, 9, 10, 11 and
-Tables 1/3 are all read off this single run, exactly as the paper reads
-them off production.
+quota mix).  Figures 2, 4, 7, 8, 9, 10, 11 and Tables 1/3 are all read
+off this single run, exactly as the paper reads them off production.
 
 The builder itself lives in :mod:`repro.scenarios` so the sweep engine
 can run it in worker processes; this module re-exports it for the

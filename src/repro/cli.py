@@ -6,19 +6,26 @@ Examples::
     python -m repro simulate --hours 24 --rate 8 --no-time-shifting
     python -m repro simulate --hours 2 --json
     python -m repro sweep --runs 4 --workers 4 --ablate time-shifting
+    python -m repro profile --quick
     python -m repro lifecycle
     python -m repro growth --years 5
 
-``simulate`` builds the same paper-shaped workload the benchmark suite
-uses (diurnal 4.3× peak-to-trough with midnight spike, Table 1 trigger
-mix, Table 3 resource distributions), sizes a fleet for ~70% mean
-utilization, runs it, and prints the Figure 2/7/8-style summary (or a
-machine-readable JSON document with ``--json``).
+``simulate`` is a front end to :func:`repro.scenarios.build_dayrun`, the
+dayrun the benchmark suite uses: diurnal 4.3× peak-to-trough with the
+midnight spike, a Figure 4 spiky function from 6 h on, Table 1 trigger
+mix and Table 3 resource distributions, on a fleet sized for ~70% mean
+utilization.  It prints the Figure 2/7/8-style summary (or a
+machine-readable JSON document with ``--json``), its headline numbers
+taken from :func:`repro.scenarios.summarize_run`.
 
 ``sweep`` fans a grid of (variant × seed) dayrun simulations out over
 worker processes and reports per-variant mean ± 95% CI for the headline
 statistics — the multi-seed backing for the Fig 7 utilization claim and
 the ablation grid.
+
+``profile`` runs the dayrun under the deterministic time-attribution
+profiler (or, with ``--alloc``, tracemalloc) and prints where the wall
+time (or memory) goes.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ import sys
 from typing import Any, Callable
 
 from .analysis import (
-    fleet_utilization_series,
     peak_to_trough,
     quota_cpu_series,
     received_vs_executed,
@@ -39,64 +45,43 @@ from .analysis import (
 )
 from .analysis.shapes import complementarity, pearson
 from .baselines import BASELINE_STEPS, baseline_model, xfaas_model
-from .cluster import MachineSpec, size_topology_for_utilization
-from .core import LocalityParams, PlatformParams, SchedulerParams, XFaaS
+from .core import LocalityParams, XFaaS
 from .metrics import format_table, series_block
-from .sim import Simulator
-from .workloads import (
-    ArrivalGenerator,
-    DiurnalRate,
-    build_population,
-    estimate_demand_minstr,
-    figure3_model,
-)
+from .scenarios import DayRun, build_dayrun, fleet_utilization, summarize_run
+from .sweep import ABLATIONS, build_grid, run_sweep, sweep_report
+from .workloads import figure3_model
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     horizon_s = args.hours * 3600.0
-    sim = Simulator(seed=args.seed, sanitize=args.sanitize)
-    diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=args.peak_to_trough)
-    population = build_population(
-        n_functions=args.functions, total_rate=args.rate,
-        opportunistic_fraction=args.opportunistic, diurnal=diurnal)
-    machine = MachineSpec(cores=2, core_mips=500, threads=48)
-    demand = estimate_demand_minstr(population, core_mips=machine.core_mips)
-    topology = size_topology_for_utilization(
-        demand, target_utilization=args.target_utilization,
-        n_regions=args.regions, machine_spec=machine)
-    params = PlatformParams(
-        scheduler=SchedulerParams(poll_interval_s=2.0, buffer_capacity=1000,
-                                  runq_capacity=300),
-        locality=LocalityParams(n_groups=args.locality_groups),
-        time_shifting=not args.no_time_shifting,
-        global_dispatch=not args.no_global_dispatch,
-        locality_groups=args.locality_groups > 1,
-    )
-    platform = XFaaS(sim, topology, params)
-    for spec in population.specs:
-        platform.register_function(spec)
-    ArrivalGenerator(sim, population,
-                     lambda spec, delay: platform.submit(
-                         spec.name, start_delay_s=delay),
-                     tick_s=20.0, stop_at=horizon_s)
-
     if not args.json:
-        print(f"simulating {args.hours} h, {args.rate} calls/s mean, "
-              f"{topology.total_workers('default')} workers over "
+        print(f"simulating {args.hours} h, {args.rate} calls/s mean over "
               f"{args.regions} regions ...", flush=True)
-    sim.run_until(horizon_s)
-
-    received, executed = received_vs_executed(platform, 0, horizon_s)
+    run = build_dayrun(
+        seed=args.seed, total_rate=args.rate, horizon_s=horizon_s,
+        n_functions=args.functions, n_regions=args.regions,
+        opportunistic_fraction=args.opportunistic,
+        peak_to_trough=args.peak_to_trough,
+        target_utilization=args.target_utilization,
+        overrides={
+            "locality": LocalityParams(n_groups=args.locality_groups),
+            "locality_groups": args.locality_groups > 1,
+            "time_shifting": not args.no_time_shifting,
+            "global_dispatch": not args.no_global_dispatch,
+        },
+        sanitize=args.sanitize)
+    platform = run.platform
+    summary = summarize_run(run)
     utils = region_utilization_averages(platform, min(3600.0, horizon_s / 4),
                                         horizon_s)
-    fleet = [v for _, v in fleet_utilization_series(
-        platform, min(3600.0, horizon_s / 4), horizon_s, 600.0)]
+    fleet = fleet_utilization(run)
 
     if args.json:
-        print(json.dumps(_simulate_summary(args, platform, sim,
-                                           utils, fleet), indent=1))
+        print(json.dumps(_simulate_summary(args, run, summary, utils, fleet),
+                         indent=1))
         return _digest_gate(args, platform, "run")
 
+    received, executed = received_vs_executed(platform, 0, horizon_s)
     print()
     print(series_block("received per minute", received))
     print()
@@ -117,12 +102,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("reserved/opportunistic CPU correlation: "
               f"{pearson(r_b, o_b):.3f} "
               f"(complementarity {complementarity(r_b, o_b):.3f})")
-    print(f"submitted {platform.submitted_count}, "
-          f"completed {platform.completed_count()}, "
-          f"still queued {platform.pending_backlog()}")
+    print(f"{platform.topology.total_workers('default')} workers: "
+          f"submitted {summary['submitted']}, "
+          f"completed {summary['completed']}, "
+          f"still queued {summary['backlog']}")
     if fleet:
         print("fleet utilization: mean "
-              f"{statistics.mean(fleet):.3f}, "
+              f"{summary['fleet_util_mean']:.3f}, "
               f"peak-to-trough {peak_to_trough(fleet, 0.02):.2f}x "
               "(paper: 66% mean, 1.4x)")
     return _digest_gate(args, platform, "run")
@@ -148,14 +134,14 @@ def _digest_gate(args: argparse.Namespace, platform: XFaaS, run: str,
     return status
 
 
-def _simulate_summary(args: argparse.Namespace, platform: XFaaS,
-                      sim: Simulator, utils: dict, fleet: list) -> dict:
+def _simulate_summary(args: argparse.Namespace, run: DayRun, summary: dict,
+                      utils: dict, fleet: list) -> dict:
     """Machine-readable run summary for ``simulate --json``.
 
-    CI's digest gates read it; keys are stable API.
+    CI's digest gates read it; keys are stable API.  The headline
+    numbers are :func:`~repro.scenarios.summarize_run`'s.
     """
-    metrics = platform.metrics
-    summary = {
+    out = {
         "config": {
             "hours": args.hours, "rate": args.rate,
             "functions": args.functions, "regions": args.regions,
@@ -167,31 +153,25 @@ def _simulate_summary(args: argparse.Namespace, platform: XFaaS,
             "global_dispatch": not args.no_global_dispatch,
             "sanitize": args.sanitize,
         },
-        "events_executed": sim.events_executed,
-        "submitted": platform.submitted_count,
-        "completed": platform.completed_count(),
-        "backlog": platform.pending_backlog(),
-        "throttled": (metrics.counter("calls.throttled").total
-                      if metrics.has_counter("calls.throttled") else 0.0),
-        "trace_digest": platform.traces.digest(),
-        "metrics_digest": metrics.digest(),
+        "events_executed": summary["events_executed"],
+        "submitted": summary["submitted"],
+        "completed": summary["completed"],
+        "backlog": summary["backlog"],
+        "throttled": summary["throttled"],
+        "trace_digest": run.platform.traces.digest(),
+        "metrics_digest": run.platform.metrics.digest(),
         "region_utilization": {r: u for r, u in sorted(utils.items())},
-        "fleet_util_mean": statistics.mean(fleet) if fleet else 0.0,
+        "fleet_util_mean": summary["fleet_util_mean"],
         "fleet_util_peak_to_trough": (peak_to_trough(fleet, 0.02)
                                       if fleet else 0.0),
     }
-    if metrics.has_distribution("latency.completion"):
-        lat = metrics.distribution("latency.completion")
-        if len(lat):
-            summary["latency_s"] = {"p50": lat.percentile(50),
-                                    "p95": lat.percentile(95),
-                                    "p99": lat.percentile(99)}
-    return summary
+    if "latency_p50_s" in summary:
+        out["latency_s"] = {q: summary[f"latency_{q}_s"]
+                            for q in ("p50", "p95", "p99")}
+    return out
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import ABLATIONS, build_grid, run_sweep, sweep_report
-
     variants = [("baseline", {})]
     for name in args.ablate or []:
         variants.append((f"no {name}", dict(ABLATIONS[name])))
@@ -253,8 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .profile import AllocationRecorder, ProfileRecorder
-    from .scenarios import build_dayrun
+    from .profile import ProfileRecorder
 
     horizon_s = 600.0 if args.quick else args.hours * 3600.0
     if args.alloc:
@@ -302,7 +281,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
     """``profile --alloc``: tracemalloc attribution instead of wall time."""
     from .profile import AllocationRecorder
-    from .scenarios import build_dayrun
 
     if not args.json:
         print(f"tracing allocations over a dayrun "
@@ -455,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--functions", type=_FUNCTIONS, default=40)
     sweep_p.add_argument("--regions", type=_at_least(1), default=4)
     sweep_p.add_argument("--ablate", action="append",
-                         choices=sorted(
-                             ("time-shifting", "global-dispatch",
-                              "locality-groups", "cooperative-jit", "aimd")),
+                         choices=sorted(ABLATIONS),
                          help="add a variant with this §1.2 technique off "
                               "(repeatable)")
     sweep_p.add_argument("--workers", type=_at_least(1), default=1,

@@ -14,7 +14,9 @@ This is the main public entry point of the reproduction:
 
 Feature flags on :class:`PlatformParams` switch individual paper
 techniques off for the ablation benchmarks (time-shifting, global
-dispatch, locality groups, cooperative JIT, AIMD back-pressure).
+dispatch, locality groups).  ``cooperative_jit`` shapes code rollouts,
+so it only matters once ``start_code_deployer`` starts the
+:class:`CodeDeployer`.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class PlatformParams:
     global_dispatch: bool = True
     locality_groups: bool = True
     cooperative_jit: bool = True
-    aimd: bool = True
 
 
 class InFlightCalls:
@@ -277,8 +278,7 @@ class XFaaS:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def register_function(self, spec: FunctionSpec,
-                          expected_cost_minstr: Optional[float] = None) -> None:
+    def register_function(self, spec: FunctionSpec) -> None:
         """Register a function with every subsystem that tracks it."""
         if spec.name in self._specs:
             return
@@ -289,11 +289,9 @@ class XFaaS:
                 f"{self.params.namespace!r}")
         self._specs[spec.name] = spec
         self.namespaces.assign(spec)
-        if expected_cost_minstr is None:
-            # Seed the quota cost prior from the declared profile (the
-            # production analogue: owners size quotas from profiling).
-            expected_cost_minstr = spec.profile.cpu_minstr.mean
-        self.rate_limiter.register(spec, expected_cost_minstr)
+        # Seed the quota cost prior from the declared profile (the
+        # production analogue: owners size quotas from profiling).
+        self.rate_limiter.register(spec, spec.profile.cpu_minstr.mean)
         self.congestion.register(spec)
         self.locality_optimizer.register_function(spec)
 
@@ -431,10 +429,9 @@ class XFaaS:
             if service is None:
                 continue
             result = service.call(n)
-            if result.exceptions and self.params.aimd:
+            if result.exceptions:
                 self.congestion.on_backpressure(
                     call.function_name, service_name, result.exceptions)
-            if result.exceptions:
                 ctr = self._backpressure_counters.get(service_name)
                 if ctr is None:
                     ctr = self._backpressure_counters[service_name] = \

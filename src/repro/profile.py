@@ -166,7 +166,7 @@ class ProfileRecorder:
                 entry = pop_head()
                 sim._now = entry[0]
                 executed += 1
-                cb = entry[3].callback
+                cb = entry[2].callback
                 call(event_key(cb), cb)
             if sim._now < until:
                 sim._now = until

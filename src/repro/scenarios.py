@@ -1,17 +1,16 @@
 """Canonical paper-shaped simulation scenarios as library code.
 
-Historically the full-day reference run lived in ``benchmarks/conftest``
-where only the pytest benchmarks could reach it.  The sweep engine
-(:mod:`repro.sweep`) runs the same scenario in worker *processes*, so
-the builder has to be importable library code — ``benchmarks/conftest``
-now re-exports from here.
+This module is the one place a run is built and summarised.  The
+benchmarks (``benchmarks/conftest`` re-exports from here), the sweep
+engine's worker processes (:mod:`repro.sweep`), ``repro simulate`` and
+``repro profile`` all call :func:`build_dayrun` or :func:`build_fleetrun`
+and read headline numbers from :func:`summarize_run`.
 
-:func:`build_dayrun` keeps bit-identical default behavior (same
-construction order, same RNG draws) so pinned trace digests remain
-comparable across the move, while gaining
-the knobs a sweep grid varies: seed, horizon, rate, population size,
-region count, and §1.2 ablation flags applied on top of the default
-parameters.
+Both builders share one body (:func:`_start`) and vary only the
+population shape and how the fleet is sized.  The knobs are the ones a
+sweep grid or the CLI varies: seed, horizon, rate, population size,
+region count, and ``PlatformParams`` overrides (the §1.2 ablation flags)
+applied on top of :func:`default_dayrun_params`.
 """
 
 from __future__ import annotations
@@ -19,16 +18,21 @@ from __future__ import annotations
 import dataclasses
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import PlatformParams, Simulator, XFaaS
 from .analysis import fleet_utilization_series
-from .cluster import MachineSpec, build_topology, size_topology_for_utilization
+from .cluster import (
+    MachineSpec,
+    Topology,
+    build_topology,
+    size_topology_for_utilization,
+)
 from .core import LocalityParams, SchedulerParams, UtilizationParams
-from .downstream import ServiceRegistry, build_tao_stack
 from .workloads import (
     ArrivalGenerator,
     DiurnalRate,
+    Population,
     TriggerType,
     attach_spike,
     build_population,
@@ -37,6 +41,9 @@ from .workloads import (
 )
 
 DAY_S = 86_400.0
+
+#: The machine every scenario's fleet runs on.
+MACHINE = MachineSpec(cores=2, core_mips=500, threads=48)
 
 
 @dataclass
@@ -72,7 +79,6 @@ def default_dayrun_params() -> PlatformParams:
 
 def build_dayrun(seed: int = 7, total_rate: float = 8.0,
                  horizon_s: float = DAY_S,
-                 params_override: PlatformParams = None,
                  n_functions: int = 60, n_regions: int = 6,
                  opportunistic_fraction: float = 0.6,
                  peak_to_trough: float = 4.3,
@@ -85,10 +91,11 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
     The default invocation reproduces the paper-shaped workload used by
     Figures 2/4/7/8/9/10/11 and Tables 1/3: diurnal 4.3× peak-to-trough
     with the midnight spike, Table 1 category mix, Table 3 resource
-    shapes, a Figure 4 spiky function, reserved + opportunistic quota
-    mix, and the TAO downstream stack.  ``overrides`` replaces fields on
-    the (possibly overridden) :class:`PlatformParams` — the sweep engine
-    uses it for ablation flags like ``{"time_shifting": False}``.
+    shapes, a Figure 4 spiky function, and a reserved + opportunistic
+    quota mix, on a fleet sized for ``target_utilization``.
+    ``overrides`` replaces fields on :func:`default_dayrun_params` — the
+    sweep engine uses it for ablation flags like
+    ``{"time_shifting": False}``.
 
     ``profiler`` attaches a :class:`repro.profile.ProfileRecorder` to the
     simulator before anything is scheduled; the run behaves identically
@@ -98,13 +105,10 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
     :mod:`repro.sim.simsan` runtime sanitizer; behavior (and the trace
     digest) is bit-identical, but determinism violations raise.
     """
-    sim = Simulator(seed=seed, sanitize=sanitize)
-    if profiler is not None:
-        sim.profiler = profiler
-    diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=peak_to_trough)
     population = build_population(
         n_functions=n_functions, total_rate=total_rate,
-        opportunistic_fraction=opportunistic_fraction, diurnal=diurnal)
+        opportunistic_fraction=opportunistic_fraction,
+        diurnal=DiurnalRate(base_rate=1.0, peak_to_trough=peak_to_trough))
 
     # The Figure 4 client: a scaled 20M-calls-in-15-minutes burst on one
     # queue-triggered function, placed in the morning.  Small sweep
@@ -119,35 +123,14 @@ def build_dayrun(seed: int = 7, total_rate: float = 8.0,
                      figure4_spike(scale=burst_calls / 20.0e6,
                                    start_s=6 * 3600.0))
 
-    machine = MachineSpec(cores=2, core_mips=500, threads=48)
-    demand = estimate_demand_minstr(population, core_mips=machine.core_mips)
+    demand = estimate_demand_minstr(population, core_mips=MACHINE.core_mips)
     topology = size_topology_for_utilization(
         demand, target_utilization=target_utilization, n_regions=n_regions,
-        machine_spec=machine)
-
-    services = ServiceRegistry()
-    build_tao_stack(sim, services, tao_capacity_rps=1.0e5,
-                    wtcache_capacity_rps=1.0e5, kvstore_capacity_rps=1.0e5)
-
-    params = params_override or default_dayrun_params()
-    if overrides:
-        params = dataclasses.replace(params, **overrides)
-    platform = XFaaS(sim, topology, params, services=services)
-    for spec in population.specs:
-        platform.register_function(spec)
-    if spiky_function is not None:
-        # The spiky client goes to the spiky submitter pool (§4.2).
-        platform.register_spiky_client(
-            platform.spec(spiky_function).team)
-
-    # submit_stream is draw-for-draw identical to submit(spec.name, ...)
-    # minus the name lookup and the returned call.
-    ArrivalGenerator(sim, population, platform.submit_stream,
-                     tick_s=20.0, stop_at=horizon_s)
-    sim.run_until(horizon_s)
-    return DayRun(sim=sim, platform=platform, population=population,
-                  spiky_function=spiky_function, horizon_s=horizon_s,
-                  n_regions=n_regions)
+        machine_spec=MACHINE)
+    run = _start(seed, population, topology, horizon_s, overrides, sanitize,
+                 spiky_function=spiky_function, profiler=profiler)
+    run.sim.run_until(horizon_s)
+    return run
 
 
 def build_fleetrun(n_workers: int, seed: int = 7,
@@ -175,36 +158,57 @@ def build_fleetrun(n_workers: int, seed: int = 7,
     if n_workers < n_regions:
         raise ValueError(
             f"n_workers={n_workers} must be >= n_regions={n_regions}")
-    sim = Simulator(seed=seed, sanitize=sanitize)
-    diurnal = DiurnalRate(base_rate=1.0, peak_to_trough=4.3)
     population = build_population(
         n_functions=n_functions, total_rate=total_rate,
-        opportunistic_fraction=opportunistic_fraction, diurnal=diurnal)
-
-    machine = MachineSpec(cores=2, core_mips=500, threads=48)
-    per_region = max(1, n_workers // n_regions)
+        opportunistic_fraction=opportunistic_fraction,
+        diurnal=DiurnalRate(base_rate=1.0, peak_to_trough=4.3))
     topology = build_topology(
-        n_regions=n_regions, workers_per_unit=per_region,
-        relative_capacity=[1.0] * n_regions, machine_spec=machine)
+        n_regions=n_regions, workers_per_unit=max(1, n_workers // n_regions),
+        relative_capacity=[1.0] * n_regions, machine_spec=MACHINE)
+    run = _start(seed, population, topology, horizon_s, overrides, sanitize)
+    if run_sim:
+        run.sim.run_until(horizon_s)
+    return run
 
-    services = ServiceRegistry()
-    build_tao_stack(sim, services, tao_capacity_rps=1.0e5,
-                    wtcache_capacity_rps=1.0e5, kvstore_capacity_rps=1.0e5)
 
+def _start(seed: int, population: Population, topology: Topology,
+           horizon_s: float, overrides: Optional[dict], sanitize: bool,
+           spiky_function: Optional[str] = None,
+           profiler: Optional[object] = None) -> DayRun:
+    """Build the platform, register the population and arm its arrivals.
+
+    Nothing has run yet: the caller runs ``run.sim.run_until``.
+    """
+    sim = Simulator(seed=seed, sanitize=sanitize)
+    if profiler is not None:
+        sim.profiler = profiler
     params = default_dayrun_params()
     if overrides:
         params = dataclasses.replace(params, **overrides)
-    platform = XFaaS(sim, topology, params, services=services)
+    platform = XFaaS(sim, topology, params)
     for spec in population.specs:
         platform.register_function(spec)
-
+    if spiky_function is not None:
+        # The spiky client goes to the spiky submitter pool (§4.2).
+        platform.register_spiky_client(platform.spec(spiky_function).team)
+    # submit_stream is draw-for-draw identical to submit(spec.name, ...)
+    # minus the name lookup and the returned call.
     ArrivalGenerator(sim, population, platform.submit_stream,
                      tick_s=20.0, stop_at=horizon_s)
-    if run_sim:
-        sim.run_until(horizon_s)
     return DayRun(sim=sim, platform=platform, population=population,
-                  spiky_function=None, horizon_s=horizon_s,
-                  n_regions=n_regions)
+                  spiky_function=spiky_function, horizon_s=horizon_s,
+                  n_regions=len(topology.region_names))
+
+
+def fleet_utilization(run: DayRun) -> List[float]:
+    """Fleet CPU utilization after the warm-up, one sample per step.
+
+    The series behind ``summarize_run``'s ``fleet_util_mean``.
+    """
+    horizon = run.horizon_s
+    return [v for _, v in fleet_utilization_series(
+        run.platform, min(3600.0, horizon / 4), horizon,
+        min(600.0, max(horizon / 10, 1.0)))]
 
 
 def summarize_run(run: DayRun) -> dict:
@@ -214,10 +218,8 @@ def summarize_run(run: DayRun) -> dict:
     seeds into confidence intervals (Fig 7 fleet utilization, completion
     latency percentiles, throughput accounting).
     """
-    platform, horizon = run.platform, run.horizon_s
-    warmup = min(3600.0, horizon / 4)
-    fleet = [v for _, v in fleet_utilization_series(
-        platform, warmup, horizon, min(600.0, max(horizon / 10, 1.0)))]
+    platform = run.platform
+    fleet = fleet_utilization(run)
     summary = {
         "submitted": platform.submitted_count,
         "completed": platform.completed_count(),

@@ -1,16 +1,16 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel is a classic event-scheduling simulator: a single priority
-queue of scheduled callbacks ordered by ``(time, priority, seq)``.  The
-``seq`` tiebreaker makes execution order fully deterministic, which the
-whole reproduction relies on: two runs with the same seed produce
+The kernel is a classic event-scheduling simulator: a single heap
+of scheduled callbacks ordered by ``(time, seq)``.  The ``seq``
+tiebreaker (push order) makes execution order fully deterministic, which
+the whole reproduction relies on: two runs with the same seed produce
 identical traces.
 
 Hot-path layout
 ---------------
-Heap entries are plain 4-tuples ``(time, priority, seq, handle)`` so the
-C implementations of ``heapq`` compare native tuples instead of calling
-a Python-level ``__lt__``; ``seq`` is unique, so the handle in slot 3 is
+Heap entries are plain 3-tuples ``(time, seq, handle)`` so the C
+implementations of ``heapq`` compare native tuples instead of calling a
+Python-level ``__lt__``; ``seq`` is unique, so the handle in slot 2 is
 never compared.  The :class:`ScheduledEvent` handle is a ``__slots__``
 object carrying only what outlives the push: the callback, the cancelled
 flag, and a queue backref for cancellation accounting.
@@ -35,8 +35,8 @@ _PURGE_MIN_CANCELLED = 64
 class ScheduledEvent:
     """Cancellable handle for a callback scheduled at a simulation time.
 
-    Ordering of the underlying queue is ``(time, priority, seq)``; lower
-    values run first.  Cancelled entries stay queued but are skipped
+    Ordering of the underlying queue is ``(time, seq)``; lower values
+    run first.  Cancelled entries stay queued but are skipped
     when popped (lazy deletion), which keeps cancellation O(1).
     """
 
@@ -58,12 +58,12 @@ class ScheduledEvent:
                 queue._on_cancel()
 
 
-#: A queue entry: ``(time, priority, seq, handle)``.
-Entry = Tuple[float, int, int, ScheduledEvent]
+#: A queue entry: ``(time, seq, handle)``.
+Entry = Tuple[float, int, ScheduledEvent]
 
 
 class EventQueue:
-    """Deterministic priority queue of scheduled callbacks."""
+    """Deterministic min-heap of scheduled callbacks."""
 
     def __init__(self) -> None:
         self._heap: List[Entry] = []
@@ -81,13 +81,13 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def push(self, time: float, callback: Callable[[], None],
-             priority: int = 0) -> ScheduledEvent:
+    def push(self, time: float, callback: Callable[[], None]
+             ) -> ScheduledEvent:
         """Schedule ``callback`` at ``time`` and return a cancellable handle."""
         ev = ScheduledEvent(time, callback, self)
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, priority, seq, ev))
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     # ------------------------------------------------------------------
@@ -101,7 +101,7 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Drop every cancelled entry in one pass and re-heapify."""
-        self._heap = [e for e in self._heap if not e[3].cancelled]
+        self._heap = [e for e in self._heap if not e[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
@@ -113,16 +113,16 @@ class EventQueue:
         through it.
         """
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][2].cancelled:
             entry = heapq.heappop(heap)
-            entry[3]._queue = None
+            entry[2]._queue = None
             self._cancelled -= 1
         return heap[0] if heap else None
 
     def _pop_head(self) -> Entry:
         """Pop the entry ``_purge_head`` just returned (head is live)."""
         entry = heapq.heappop(self._heap)
-        entry[3]._queue = None
+        entry[2]._queue = None
         return entry
 
     # ------------------------------------------------------------------
@@ -132,7 +132,7 @@ class EventQueue:
         """Pop the next non-cancelled event, or ``None`` if the queue is empty."""
         if self._purge_head() is None:
             return None
-        return self._pop_head()[3]
+        return self._pop_head()[2]
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` when empty."""

@@ -71,20 +71,20 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def call_at(self, time: float, callback: Callable[[], None],
-                priority: int = 0) -> ScheduledEvent:
+    def call_at(self, time: float,
+                callback: Callable[[], None]) -> ScheduledEvent:
         """Run ``callback`` at absolute simulation ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (now={self._now})")
-        return self._queue.push(time, callback, priority)
+        return self._queue.push(time, callback)
 
-    def call_after(self, delay: float, callback: Callable[[], None],
-                   priority: int = 0) -> ScheduledEvent:
+    def call_after(self, delay: float,
+                   callback: Callable[[], None]) -> ScheduledEvent:
         """Run ``callback`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self._now + delay, callback, priority)
+        return self._queue.push(self._now + delay, callback)
 
     def every(self, interval: float, callback: Callable[[], None],
               start: Optional[float] = None, jitter: float = 0.0,
@@ -131,7 +131,7 @@ class Simulator:
                 entry = pop_head()
                 self._now = entry[0]
                 executed += 1
-                entry[3].callback()
+                entry[2].callback()
             if self._now < time:
                 self._now = time
         finally:

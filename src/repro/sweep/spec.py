@@ -16,13 +16,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..sim.rng import derive_seed
 
 #: Named §1.2 ablations: CLI flag value -> ``PlatformParams`` overrides.
-#: Each switches one technique off against the unablated baseline.
+#: Each switches one technique off against the unablated baseline, and
+#: each changes a dayrun's trace (``tests/sweep/test_sweep.py`` checks).
 ABLATIONS: Dict[str, Dict[str, Any]] = {
     "time-shifting": {"time_shifting": False},
     "global-dispatch": {"global_dispatch": False},
     "locality-groups": {"locality_groups": False},
-    "cooperative-jit": {"cooperative_jit": False},
-    "aimd": {"aimd": False},
 }
 
 

@@ -23,6 +23,13 @@ from .spikes import SpikeTrain
 
 DAY_S = 86_400.0
 
+#: Quota = mean CPU demand × headroom, for every function and for a
+#: re-shaped spike; >1 leaves slack so steady traffic is not throttled,
+#: while spikes above headroom are.
+QUOTA_HEADROOM = 1.5
+#: Teams a population's functions are spread over (mild Zipf).
+N_TEAMS = 25
+
 
 class RateShape(Protocol):
     """Anything exposing ``rate(t) -> calls/s``."""
@@ -97,12 +104,8 @@ def _zipf_shares(n: int, s: float, rng: RngStream) -> List[float]:
 
 def build_population(n_functions: int = 120,
                      total_rate: float = 200.0,
-                     n_teams: int = 25,
                      opportunistic_fraction: float = 0.35,
-                     quota_headroom: float = 1.5,
                      diurnal: Optional[DiurnalRate] = None,
-                     seed_stream: Optional[RngStream] = None,
-                     rate_skew: float = 1.1,
                      core_mips: float = 4000.0) -> Population:
     """Build a Table 1/Table 3-shaped population.
 
@@ -114,17 +117,14 @@ def build_population(n_functions: int = 120,
         Fraction of *delay-tolerant-eligible* functions given
         opportunistic quota (the paper is actively migrating functions
         to opportunistic, §5.3).
-    quota_headroom:
-        Quota = mean CPU demand × headroom; >1 leaves slack so steady
-        traffic is not throttled, while spikes above headroom are.
     """
-    rng = seed_stream or RngStream("population", 0)
+    rng = RngStream("population", 0)
     counts = split_functions(n_functions)
     # Mild Zipf for team assignment within small populations; the exact
     # §6 concentration curve lives in categories.team_weights and is
     # exercised by the team-skew benchmark at realistic team counts.
-    weights = _zipf_shares(n_teams, 1.1, rng)
-    team_names = [f"team-{i:02d}" for i in range(n_teams)]
+    weights = _zipf_shares(N_TEAMS, 1.1, rng)
+    team_names = [f"team-{i:02d}" for i in range(N_TEAMS)]
     diurnal = diurnal or DiurnalRate(base_rate=1.0)
     diurnal_mean = diurnal.mean_rate()
 
@@ -132,9 +132,12 @@ def build_population(n_functions: int = 120,
     for trigger in TriggerType:
         n_cat = counts.count_for(trigger)
         cat_rate = total_rate * CALL_SHARE[trigger]
-        shares = _zipf_shares(n_cat, rate_skew, rng)
+        shares = _zipf_shares(n_cat, 1.1, rng)
         profile = profile_for(trigger)
-        mean_cpu = _mean_cpu_estimate(profile, rng, core_mips)
+        # The analytic lognormal mean: Monte-Carlo estimates of these
+        # heavy-tailed distributions are dominated by whether the top
+        # percentile happened to be drawn.
+        mean_cpu = profile.mean_cpu(core_mips)
         for i in range(n_cat):
             team = rng.weighted_choice(team_names, weights)
             criticality = rng.weighted_choice(
@@ -147,7 +150,7 @@ def build_population(n_functions: int = 120,
             quota_type = QuotaType.RESERVED
             if deadline >= 3600.0 and rng.random() < opportunistic_fraction:
                 quota_type = QuotaType.OPPORTUNISTIC
-            quota = max(mean_rate * mean_cpu * quota_headroom, 1.0)
+            quota = max(mean_rate * mean_cpu * QUOTA_HEADROOM, 1.0)
             spec = FunctionSpec(
                 name=f"{trigger.value}/fn-{i:04d}",
                 team=team,
@@ -173,40 +176,19 @@ def build_population(n_functions: int = 120,
     return Population(loads=loads)
 
 
-def _mean_cpu_estimate(profile, rng: RngStream, core_mips: float,
-                       n: int = 200) -> float:
-    """Mean per-call CPU for quota/capacity sizing.
-
-    Uses the analytic lognormal mean — Monte-Carlo estimates of these
-    heavy-tailed distributions are dominated by whether the top
-    percentile happened to be drawn.
-    """
-    return profile.mean_cpu(core_mips)
-
-
 def estimate_demand_minstr(population: Population,
-                           core_mips: float = 4000.0,
-                           samples: int = 300) -> float:
+                           core_mips: float = 4000.0) -> float:
     """Mean CPU demand (million instr/s) of the whole population.
 
     Used with :func:`repro.cluster.size_topology_for_utilization` to
     provision a fleet at the paper's 66%-utilization operating point.
     """
-    rng = RngStream("demand-estimate", 0)
-    total = 0.0
-    seen = {}
-    for load in population.loads:
-        profile = load.spec.profile
-        key = id(profile)
-        if key not in seen:
-            seen[key] = _mean_cpu_estimate(profile, rng, core_mips, samples)
-        total += load.mean_rate * seen[key]
-    return total
+    return sum(load.mean_rate * load.spec.profile.mean_cpu(core_mips)
+               for load in population.loads)
 
 
 def attach_spike(population: Population, function_name: str,
-                 spike: SpikeTrain, quota_headroom: float = 1.5,
-                 core_mips: float = 4000.0) -> None:
+                 spike: SpikeTrain, core_mips: float = 4000.0) -> None:
     """Replace one function's shape with a spike train (Fig 4 clients).
 
     The function's ``mean_rate`` is re-derived from the spike train's
@@ -222,7 +204,7 @@ def attach_spike(population: Population, function_name: str,
     load.mean_rate = daily / DAY_S
     load.shape_mean = daily / DAY_S if daily > 0 else 1.0
     mean_cpu = load.spec.profile.mean_cpu(core_mips)
-    quota = max(load.mean_rate * mean_cpu * quota_headroom, 1.0)
+    quota = max(load.mean_rate * mean_cpu * QUOTA_HEADROOM, 1.0)
     load.spec = dataclasses.replace(load.spec, quota_minstr_per_s=quota)
 
 
@@ -251,7 +233,7 @@ class ArrivalGenerator:
 
     def __init__(self, sim: Simulator, population: Population,
                  submit_fn: SubmitFn, tick_s: float = 10.0,
-                 stop_at: float = DAY_S, rng_name: str = "arrivals") -> None:
+                 stop_at: float = DAY_S) -> None:
         if tick_s <= 0:
             raise ValueError(f"tick_s must be positive, got {tick_s}")
         self.sim = sim
@@ -259,7 +241,7 @@ class ArrivalGenerator:
         self.submit_fn = submit_fn
         self.tick_s = tick_s
         self.stop_at = stop_at
-        self.rng = sim.rng.stream(rng_name)
+        self.rng = sim.rng.stream("arrivals")
         self.submitted = 0
         #: Current tick's remaining arrivals: (abs time, draw idx, load).
         self._pending: List[Tuple[float, int, FunctionLoad]] = []

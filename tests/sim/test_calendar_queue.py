@@ -3,8 +3,8 @@
 The kernel's heap queue deletes lazily and compacts the whole heap
 once cancellations dominate; neither may change the execution order.
 These tests pin that contract against a reference queue that keeps
-every entry in a list and pops the minimum live ``(time, priority,
-seq)`` key by linear scan: for the *same* push/cancel sequence, both
+every entry in a list and pops the minimum live ``(time, seq)`` key by
+linear scan: for the *same* push/cancel sequence, both
 pop the same keys in the same order, including same-timestamp FIFO
 ties, zero-delay pushes at the current clock, cancelled handles, and
 across compaction.
@@ -32,15 +32,15 @@ class _RefHandle:
 
 
 class ReferenceQueue:
-    """Unsorted list of ``((time, priority, seq), handle)``; O(n) pops."""
+    """Unsorted list of ``((time, seq), handle)``; O(n) pops."""
 
     def __init__(self):
         self._entries = []
         self._seq = 0
 
-    def push(self, time, callback, priority=0):
+    def push(self, time, callback):
         handle = _RefHandle()
-        self._entries.append(((time, priority, self._seq), handle))
+        self._entries.append(((time, self._seq), handle))
         self._seq += 1
         return handle
 
@@ -58,7 +58,7 @@ class ReferenceQueue:
 
 
 def drain(q):
-    """Pop every live entry, returning ``(time, priority, seq)`` keys."""
+    """Pop every live entry, returning ``(time, seq)`` keys."""
     out = []
     while True:
         head = q._purge_head()
@@ -66,7 +66,7 @@ def drain(q):
             assert q.pop() is None
             return out
         entry = q._pop_head()
-        out.append(entry[:3])
+        out.append(entry[:2])
 
 
 def drain_ref(ref):
@@ -77,17 +77,15 @@ def drain_ref(ref):
 
 
 def apply_ops(q, ops):
-    """Replay a schedule: ('push', t, prio) | ('zero', now) | ('cancel', i).
+    """Replay a schedule: ('push', t) | ('zero', now) | ('cancel', i).
 
     Returns handles in creation order so cancel indices line up across
     queues.
     """
     handles = []
     for op in ops:
-        if op[0] == "push":
-            handles.append(q.push(op[1], noop, priority=op[2]))
-        elif op[0] == "zero":
-            handles.append(q.push(op[1], noop, priority=0))
+        if op[0] in ("push", "zero"):
+            handles.append(q.push(op[1], noop))
         else:
             handles[op[1]].cancel()
     return handles
@@ -96,9 +94,8 @@ def apply_ops(q, ops):
 def random_schedule(rng, n_events=500):
     """A randomized op sequence with ties, zero-gaps, and cancellations.
 
-    ``zero`` ops push at a monotone ``now`` with priority 0, the key
-    ``call_after(0, ...)`` produces; other pushes may target any future
-    or past time.
+    ``zero`` ops push at a monotone ``now``, the key ``call_after(0,
+    ...)`` produces; other pushes may target any future or past time.
     """
     ops = []
     now = 0.0
@@ -109,7 +106,7 @@ def random_schedule(rng, n_events=500):
             # Ties are the interesting case: coarse-grained times.
             t = rng.choice([now, now + 0.0, round(now + rng.random() * 20, 1),
                             rng.choice([0.0, 1.0, 5.0, 5.0, 100.0])])
-            ops.append(("push", t, rng.choice([-1, 0, 0, 0, 5])))
+            ops.append(("push", t))
             n_handles += 1
         elif r < 0.8:
             ops.append(("zero", now))
@@ -144,12 +141,11 @@ class TestRandomizedEquivalence:
             r = rng.random()
             if r < 0.5:
                 t = now + rng.choice([0.0, 0.5, rng.random() * 30])
-                prio = rng.choice([-1, 0, 0, 3])
-                hh.append(heap.push(t, noop, priority=prio))
-                hr.append(ref.push(t, noop, priority=prio))
+                hh.append(heap.push(t, noop))
+                hr.append(ref.push(t, noop))
             elif r < 0.55:
-                hh.append(heap.push(now, noop, priority=0))
-                hr.append(ref.push(now, noop, priority=0))
+                hh.append(heap.push(now, noop))
+                hr.append(ref.push(now, noop))
             elif r < 0.65 and hh:
                 i = rng.randrange(len(hh))
                 hh[i].cancel()
@@ -160,8 +156,8 @@ class TestRandomizedEquivalence:
                 assert (eh is None) == (er is None)
                 if eh is not None:
                     a = heap._pop_head()
-                    assert a[:3] == er
-                    popped_h.append(a[:3])
+                    assert a[:2] == er
+                    popped_h.append(a[:2])
                     popped_r.append(er)
                     now = max(now, a[0])
         popped_h += drain(heap)
@@ -169,25 +165,20 @@ class TestRandomizedEquivalence:
         assert popped_h == popped_r
         assert len(popped_h) > 100
 
-    def test_same_timestamp_fifo_within_priority(self):
+    def test_same_timestamp_fifo(self):
         heap, ref = EventQueue(), ReferenceQueue()
-        ops = [("push", 5.0, p) for p in (0, 0, -1, 5, 0, -1)]
-        ops += [("push", 5.0, 0)] * 10
-        ops += [("zero", 5.0)] * 3
+        ops = [("push", 5.0)] * 16 + [("zero", 5.0)] * 3
         apply_ops(heap, ops)
         apply_ops(ref, ops)
         order = drain(heap)
         assert order == drain_ref(ref)
-        # Within a priority class, seq (push order) strictly increases.
-        by_prio = {}
-        for _, prio, seq in order:
-            assert by_prio.get(prio, -1) < seq
-            by_prio[prio] = seq
+        # At one timestamp, entries pop in push order.
+        assert order == [(5.0, seq) for seq in range(len(ops))]
 
     def test_mass_cancellation_compaction_parity(self):
         heap, ref = EventQueue(), ReferenceQueue()
         n = 6 * _PURGE_MIN_CANCELLED
-        ops = [("push", float(i % 37), 0) for i in range(n)]
+        ops = [("push", float(i % 37)) for i in range(n)]
         ops += [("cancel", i) for i in range(n) if i % 4]
         apply_ops(heap, ops)
         apply_ops(ref, ops)

@@ -32,12 +32,12 @@ class TestPurgeHead:
         assert popped == [1.0, 3.0, 5.0]
 
     def test_purge_merges_zero_lane_before_heap(self):
-        # Keys order by (time, priority, seq): b's earlier time runs
-        # first, then a's lower seq beats c at the same time.
+        # Keys order by (time, seq): b's earlier time runs first, then
+        # a's lower seq beats c at the same time.
         q = EventQueue()
-        a = q.push(5.0, noop)           # (5.0, 0, 0)
-        b = q.push(3.0, noop)           # (3.0, 0, 1) -> runs first
-        c = q.push(5.0, noop)           # (5.0, 0, 2) -> after a
+        a = q.push(5.0, noop)           # (5.0, 0)
+        b = q.push(3.0, noop)           # (3.0, 1) -> runs first
+        c = q.push(5.0, noop)           # (5.0, 2) -> after a
         order = [q.pop() for _ in range(3)]
         assert order == [b, a, c]
 
@@ -131,7 +131,7 @@ class TestZeroDelayFastPath:
         sim.call_after(0.0, lambda: out.append("b"))
         sim.call_at(0.0, lambda: out.append("heap"))
         sim.run_until(0.0)
-        # Same time and priority: push order (seq) decides, so the two
+        # Same time: push order (seq) decides, so the two
         # call_after(0) entries pushed first run first.
         assert out == ["a", "b", "heap"]
 

@@ -42,14 +42,6 @@ class TestClockAndScheduling:
         sim.run_until(100.0)
         assert seen == list(range(10))
 
-    def test_priority_breaks_time_ties(self):
-        sim = Simulator()
-        seen = []
-        sim.call_at(1.0, lambda: seen.append("low"), priority=5)
-        sim.call_at(1.0, lambda: seen.append("high"), priority=-5)
-        sim.run_until(100.0)
-        assert seen == ["high", "low"]
-
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         seen = []

@@ -61,8 +61,16 @@ class TestGrid:
         spec = tiny_grid(variants=[("x", ABLATIONS["time-shifting"])])[0]
         assert spec.overrides_dict() == {"time_shifting": False}
         assert set(ABLATIONS) == {"time-shifting", "global-dispatch",
-                                  "locality-groups", "cooperative-jit",
-                                  "aimd"}
+                                  "locality-groups"}
+
+    @pytest.mark.parametrize("name", sorted(ABLATIONS))
+    def test_every_ablation_moves_a_run(self, name):
+        # An ablation that cannot change a run measures nothing: switching
+        # the technique off must change the quick dayrun's trace.
+        from repro.scenarios import build_dayrun
+        baseline = build_dayrun(horizon_s=600.0).platform.traces.digest()
+        ablated = build_dayrun(horizon_s=600.0, overrides=ABLATIONS[name])
+        assert ablated.platform.traces.digest() != baseline
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

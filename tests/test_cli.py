@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import LocalityParams
+from repro.scenarios import build_dayrun
 
 
 class TestParser:
@@ -35,10 +37,11 @@ class TestParser:
     def test_sweep_flags(self):
         args = build_parser().parse_args(
             ["sweep", "--runs", "2", "--workers", "4",
-             "--ablate", "time-shifting", "--ablate", "aimd", "--json"])
+             "--ablate", "time-shifting", "--ablate", "locality-groups",
+             "--json"])
         assert args.runs == 2
         assert args.workers == 4
-        assert args.ablate == ["time-shifting", "aimd"]
+        assert args.ablate == ["time-shifting", "locality-groups"]
         assert args.json
 
     def test_sweep_rejects_unknown_ablation(self):
@@ -128,6 +131,29 @@ class TestCommands:
         assert len(summary["metrics_digest"]) == 64
         assert len(summary["region_utilization"]) == 3
         assert set(summary["latency_s"]) == {"p50", "p95", "p99"}
+
+    @pytest.mark.parametrize("flags, overrides", [
+        ([], {}),
+        (["--no-time-shifting", "--locality-groups", "1"],
+         {"time_shifting": False, "locality_groups": False,
+          "locality": LocalityParams(n_groups=1)}),
+    ])
+    def test_simulate_runs_the_shared_dayrun(self, capsys, flags, overrides):
+        # simulate is a front end to build_dayrun: the same model
+        # arguments give the same trace and metrics.
+        import json
+        assert main(["simulate", "--hours", "0.25", "--rate", "1.5",
+                     "--regions", "2", "--functions", "16", "--seed", "3",
+                     "--peak-to-trough", "5", "--opportunistic", "0.4",
+                     "--target-utilization", "0.6", "--json"] + flags) == 0
+        summary = json.loads(capsys.readouterr().out)
+        run = build_dayrun(seed=3, total_rate=1.5, horizon_s=900.0,
+                           n_functions=16, n_regions=2, peak_to_trough=5.0,
+                           opportunistic_fraction=0.4,
+                           target_utilization=0.6, overrides=overrides)
+        assert summary["trace_digest"] == run.platform.traces.digest()
+        assert summary["metrics_digest"] == run.platform.metrics.digest()
+        assert summary["submitted"] == run.platform.submitted_count
 
     def test_simulate_digest_gates_fail_closed(self, capsys):
         import json
