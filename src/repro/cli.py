@@ -280,14 +280,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
     """``profile --alloc``: tracemalloc attribution instead of wall time."""
-    from .profile import AllocationRecorder
+    from .profile import AllocationRecorder, cyclic_garbage
 
     if not args.json:
         print(f"tracing allocations over a dayrun "
               f"({horizon_s / 3600.0:.2f} h simulated, seed {args.seed}) "
               "...", flush=True)
     recorder = AllocationRecorder()
-    with recorder.capturing():
+    with cyclic_garbage() as garbage, recorder.capturing():
         run = build_dayrun(seed=args.seed, horizon_s=horizon_s)
     digest = run.platform.traces.digest()
     metrics_digest = run.platform.metrics.digest()
@@ -304,6 +304,7 @@ def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
             "metrics_digest": metrics_digest,
             "alloc": recorder.to_json(top=args.top),
             "calls": calls,
+            "cyclic_garbage": garbage,
         }, indent=1))
     else:
         print()
@@ -312,6 +313,9 @@ def _profile_alloc(args: argparse.Namespace, horizon_s: float) -> int:
         print(f"calls: {calls['submitted']} submitted, "
               f"{calls['peak_in_flight']} peak in flight, "
               f"{calls['in_flight_at_end']} in flight at end")
+        detail = ", ".join(f"{name} {n}" for name, n in garbage.items())
+        print(f"cyclic garbage after the run: {sum(garbage.values())} "
+              f"objects" + (f" ({detail})" if detail else ""))
         print(f"events executed: {run.sim.events_executed}, "
               f"trace digest {digest[:12]}..., "
               f"metrics digest {metrics_digest[:12]}...")

@@ -46,13 +46,18 @@ class RolloutParams:
             raise ValueError("phase2_fraction must be in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeVersion:
     """One three-hourly code bundle."""
 
     version: int
     released_at: float
     size_mb: float = 500.0
+
+
+#: The bundle every worker and deployer starts on; one shared object,
+#: since a fresh worker holds it until a push replaces it.
+INITIAL_VERSION = CodeVersion(version=1, released_at=0.0)
 
 
 class CodeDeployer:
@@ -73,7 +78,7 @@ class CodeDeployer:
         self.cooperative_jit = cooperative_jit
         #: Registered worker blocks, in registration order.
         self._blocks: List[Sequence] = []
-        self.current_version = CodeVersion(version=1, released_at=0.0)
+        self.current_version = INITIAL_VERSION
         self.rollouts_completed = 0
         self._task = None
 

@@ -49,7 +49,7 @@ from .rim import Rim
 from .scheduler import S_MULTIPLIER_KEY, Scheduler, SchedulerParams
 from .submitter import Submitter, SubmitterFrontend, SubmitterParams
 from .utilization import UtilizationController, UtilizationParams
-from .worker import Worker, WorkerParams
+from .worker import FinishCallback, Worker, WorkerParams
 from .workerarrays import WorkerArrays, WorkerViews
 from .workerlb import WorkerLB
 
@@ -200,6 +200,10 @@ class XFaaS:
             region_map(sanitizer, "frontends")
         self.queuelbs: Dict[str, QueueLB] = \
             region_map(sanitizer, "queuelbs")
+        # Callbacks all worker views of a region share, bound once here
+        # rather than once per view (fleet-100k builds ~14k views).
+        self._view_on_finish: Dict[str, FinishCallback] = {}
+        self._view_gateway = self._invoke_downstream
 
         for r in regions:
             n_workers = topology.region(r).workers_for(ns)
@@ -230,6 +234,7 @@ class XFaaS:
                 self.rate_limiter, self.congestion, self.config,
                 params.scheduler, on_done=self._on_done)
             self.schedulers[r] = scheduler
+            self._view_on_finish[r] = scheduler.on_call_finished
             self.rim.register_scheduler(r, scheduler)
 
             queuelb = QueueLB(sim, r, self.durableqs_by_region, self.config)
@@ -408,8 +413,8 @@ class XFaaS:
             self.sim, name=f"{region}/{ns}/w{row:03d}", region=region,
             namespace=ns, machine=self.topology.region(region).machine_spec,
             params=self.params.worker, jit_params=self.params.jit,
-            on_finish=self.schedulers[region].on_call_finished,
-            downstream_gateway=self._invoke_downstream,
+            on_finish=self._view_on_finish[region],
+            downstream_gateway=self._view_gateway,
             arrays=store, index=row)
 
     def _pick_client_region(self) -> str:

@@ -30,7 +30,7 @@ from ..sim.kernel import Simulator
 from ..sim.rng import RngStream
 from ..workloads.spec import Criticality, QuotaType
 from .call import CallOutcome, FunctionCall
-from .codedeploy import CodeVersion
+from .codedeploy import INITIAL_VERSION, CodeVersion
 from .jit import JitParams, RuntimeJit
 from .workerarrays import WorkerArrays
 
@@ -143,7 +143,7 @@ class Worker:
         self.jit = RuntimeJit(jit_params)
         self.on_finish = on_finish
         self.downstream_gateway = downstream_gateway
-        self.code_version = CodeVersion(version=1, released_at=0.0)
+        self.code_version = INITIAL_VERSION
 
         self.cpu = CpuAccount(cores=machine.cores)
         # Admission-path constants, folded once: every product below is

@@ -34,8 +34,10 @@ Usage::
 
 from __future__ import annotations
 
+import gc
 import importlib
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -274,6 +276,40 @@ class ProfileRecorder:
             frames = ";".join(f"{comp}.{event}" for comp, event in path)
             lines.append(f"{frames} {max(int(self_s * 1e6), 1)}")
         return "\n".join(lines)
+
+
+@contextmanager
+def cyclic_garbage() -> Iterator[Dict[str, int]]:
+    """Count, by type name, the cyclic garbage a ``with`` block leaves.
+
+    The collector runs once on entry and then stays off for the block,
+    so nothing the block leaves is freed early.  On exit a full
+    collection under ``gc.DEBUG_SAVEALL`` parks what it finds
+    unreachable, the yielded dict is filled with the counts, and the
+    objects are freed.  An empty dict means refcounting alone freed
+    everything, the contract under which :meth:`Simulator.run_until`
+    pauses the collector.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    found: Dict[str, int] = {}
+    try:
+        yield found
+        flags = gc.get_debug()
+        start = len(gc.garbage)
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+        finally:
+            gc.set_debug(flags)
+        found.update(sorted(Counter(
+            type(obj).__name__ for obj in gc.garbage[start:]).items()))
+        del gc.garbage[start:]
+        gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class AllocationRecorder:

@@ -11,6 +11,7 @@ simulator it runs on, which keeps tests hermetic.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Callable, Optional
 
 from .events import EventQueue, ScheduledEvent
@@ -109,21 +110,31 @@ class Simulator:
     def run_until(self, time: float) -> None:
         """Execute events up to and including ``time``; clock ends at ``time``.
 
+        The cyclic garbage collector is paused for the loop (the
+        profiler's loop too) and put back as it was on exit, however
+        the loop ends.  Refcounting frees everything a run discards, so
+        the collector's passes over the run's heap reclaim nothing.
+        The contract this rests on: simulation code must not create
+        reference cycles per event; ``tests/test_determinism_trace.py``
+        checks that three runs leave none behind.
+
         The pop loop is inlined over the queue internals: one
         ``_purge_head`` (head peek) and one ``_pop_head`` per event,
         with the hot attributes bound to locals outside the loop.
         """
         if time < self._now:
             raise SimulationError(f"run_until({time}) is in the past")
-        if self.profiler is not None:
-            self.profiler.run_until(self, time)
-            return
-        self._stopped = False
-        queue = self._queue
-        purge_head = queue._purge_head
-        pop_head = queue._pop_head
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         executed = 0
         try:
+            if self.profiler is not None:
+                self.profiler.run_until(self, time)
+                return
+            self._stopped = False
+            queue = self._queue
+            purge_head = queue._purge_head
+            pop_head = queue._pop_head
             while not self._stopped:
                 head = purge_head()
                 if head is None or head[0] > time:
@@ -136,6 +147,8 @@ class Simulator:
                 self._now = time
         finally:
             self.events_executed += executed
+            if gc_was_enabled:
+                gc.enable()
 
     def stop(self) -> None:
         """Stop the currently running :meth:`run_until` loop."""
@@ -147,14 +160,22 @@ class Simulator:
 
 
 class PeriodicTask:
-    """Handle for a repeating callback created by :meth:`Simulator.every`."""
+    """Handle for a repeating callback created by :meth:`Simulator.every`.
+
+    :meth:`cancel` drops the callback and the pending event, so a
+    cancelled task holds no reference back to its owner.  An owner that
+    keeps its task (``self._task = sim.every(..., self.tick)``) would
+    otherwise stay in a reference cycle that only the collector frees,
+    and :meth:`Simulator.run_until` pauses the collector.
+    """
 
     def __init__(self, sim: Simulator, interval: float,
                  callback: Callable[[], None], jitter: float,
                  rng_stream: str) -> None:
         self._sim = sim
         self.interval = interval
-        self._callback = callback
+        #: None once cancelled.
+        self._callback: Optional[Callable[[], None]] = callback
         self._jitter = jitter
         self._rng_stream = rng_stream
         # Jittered tasks draw per firing; resolve the stream once here
@@ -162,11 +183,10 @@ class PeriodicTask:
         # init draws the same sequence as looking it up per firing).
         self._jitter_rng = sim.rng.stream(rng_stream) if jitter > 0 else None
         self._handle: Optional[ScheduledEvent] = None
-        self._cancelled = False
         self.fire_count = 0
 
     def _schedule_at(self, time: float) -> None:
-        if self._cancelled:
+        if self._callback is None:
             return
         if self._jitter_rng is not None:
             offset = self._jitter_rng.uniform(-self._jitter, self._jitter)
@@ -176,15 +196,16 @@ class PeriodicTask:
         self._handle = self._sim.call_at(when, self._fire)
 
     def _fire(self) -> None:
-        if self._cancelled:
+        callback = self._callback
+        if callback is None:
             return
         self.fire_count += 1
         base = self._sim.now
-        self._callback()
-        if not self._cancelled:
-            self._schedule_at(base + self.interval)
+        callback()
+        self._schedule_at(base + self.interval)
 
     def cancel(self) -> None:
-        self._cancelled = True
+        self._callback = None
         if self._handle is not None:
             self._handle.cancel()
+            self._handle = None

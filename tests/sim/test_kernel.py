@@ -1,7 +1,11 @@
 """Tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.profile import ProfileRecorder
 from repro.sim import SimulationError, Simulator
 
 
@@ -198,6 +202,123 @@ class TestPeriodicTask:
             (10.0, "killer"), (10.0, "victim"), (15.0, "victim"),
             (20.0, "killer"), (30.0, "killer"), (40.0, "killer"),
         ]
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's enabled state whatever a test leaves."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class _Owner:
+    """Keeps its own periodic task and cancels it from its callback."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._task = sim.every(1.0, self.tick)
+
+    def tick(self) -> None:
+        if self.sim.now >= 3.0:
+            self._task.cancel()
+
+
+@pytest.mark.usefixtures("gc_state")
+class TestCancelledTaskHoldsNoCycle:
+    def test_owner_freed_by_refcount_once_its_task_is_cancelled(self):
+        # Owner -> task -> bound callback -> owner is a cycle until the
+        # task is cancelled; cancelling must break it, since run_until
+        # pauses the collector that would otherwise free it.
+        gc.disable()
+        sim = Simulator()
+        owner = weakref.ref(_Owner(sim))
+        sim.run_until(10.0)
+        assert owner() is None
+
+
+@pytest.mark.usefixtures("gc_state")
+class TestCollectorPausedInRunUntil:
+    """run_until pauses the cyclic collector and puts its state back."""
+
+    def _probe(self, sim, seen):
+        sim.call_after(1.0, lambda: seen.append(gc.isenabled()))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_run(self, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        sim = Simulator()
+        seen = []
+        self._probe(sim, seen)
+        sim.run_until(10.0)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_state_restored_when_callback_raises(self):
+        gc.enable()
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+        sim.call_after(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run_until(10.0)
+        assert gc.isenabled()
+
+    def test_state_restored_through_profiler_loop(self):
+        gc.enable()
+        sim = Simulator()
+        sim.profiler = ProfileRecorder()
+        seen = []
+        self._probe(sim, seen)
+        sim.run_until(10.0)
+        assert seen == [False]
+        assert sim.profiler.events_profiled == 1
+        assert gc.isenabled()
+
+    def test_nested_run_until_keeps_pause_until_outer_exits(self):
+        gc.enable()
+        sim = Simulator()
+        seen = []
+
+        def nested():
+            sim.run_until(5.0)
+            seen.append(gc.isenabled())
+        sim.call_after(1.0, nested)
+        self._probe(sim, seen)  # fires inside the nested run, at t=1
+        sim.run_until(10.0)
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_no_collection_inside_loop(self):
+        gc.enable()
+        sim = Simulator()
+        kept = []
+        threshold = gc.get_threshold()[0]
+
+        def allocate():
+            kept.extend([i] for i in range(threshold))
+        for t in range(20):
+            sim.call_at(float(t), allocate)
+        starts = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            sim.run_until(30.0)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert len(kept) == 20 * threshold
+        assert starts == []
 
 
 class TestDeterminism:

@@ -190,6 +190,12 @@ class TestCommands:
         assert "DIGEST MISMATCH (metrics)" in err
         assert "DIGEST MISMATCH (trace)" not in err
 
+    def test_alloc_profile_reports_no_cyclic_garbage(self, capsys):
+        assert main(["profile", "--hours", "0.05", "--alloc",
+                     "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "cyclic garbage after the run: 0 objects\n" in out
+
     def test_sweep_smoke_table_and_json(self, capsys):
         import json
         argv = ["sweep", "--runs", "2", "--hours", "0.25", "--rate", "1.5",

@@ -26,6 +26,7 @@ from repro import (
     build_topology,
 )
 from repro.cluster import MachineSpec, size_topology_for_utilization
+from repro.profile import cyclic_garbage
 from repro.core import CongestionParams, LocalityParams, SchedulerParams
 from repro.workloads import (
     ArrivalGenerator,
@@ -249,3 +250,23 @@ class TestBackpressureIncidentDigestPin:
         assert platform.traces.digest() == BACKPRESSURE_INCIDENT_DIGEST
         assert platform.metrics.digest() == \
             BACKPRESSURE_INCIDENT_METRICS_DIGEST
+
+
+class TestRunsLeaveNoCyclicGarbage:
+    """``Simulator.run_until`` pauses the cyclic collector, which is
+    safe only while refcounting frees everything a run discards.
+    ``cyclic_garbage`` keeps the collector off for the build and the
+    run, so whatever cycle they leave behind stays to be counted."""
+
+    def test_three_runs_leave_nothing_for_the_collector(self):
+        from repro.scenarios import build_dayrun, build_fleetrun
+        builds = (
+            ("quick dayrun", lambda: build_dayrun(horizon_s=600.0)),
+            ("2k fleetrun", lambda: build_fleetrun(2000, horizon_s=600.0)),
+            ("KVStore incident", _run_backpressure_incident),
+        )
+        runs = []  # a live run is not garbage; keep each one alive
+        for name, build in builds:
+            with cyclic_garbage() as garbage:
+                runs.append(build())
+            assert garbage == {}, name
